@@ -13,8 +13,8 @@ Two solvers for dY = M(Y) dW on [0, t_end]:
       Y += sigma_j(Y) X^j + (D sigma_j sigma_i)(Y) A^(i,j),
 
   consuming both levels of the lift increment over each step.  Increments
-  come from a uniform-grid lift table composed via the Chen identity and
-  validated against direct evaluation in the tests.
+  come from a uniform-grid lift table: grid-value differences and
+  iterated_pairs between consecutive grid points, checked against direct lifts.
 
 Linear-in-state fields admit a vectorized RK4 propagator (each step is a
 d x d matrix acting on Y, built from batched stage matrices and reduced in

@@ -31,6 +31,7 @@ import numpy as np
 
 from .errors import ParameterError, ToleranceUnreachable
 from .iterated import (
+    DEFAULT_LIMIT_CAP,
     geometric_tail_bound,
     _calibrate_tail_constant,
     _truncated_best_path,
@@ -353,15 +354,15 @@ def _resolve_level(v: VectorWeierstrass, truncation) -> int:
             c1, c2 = v.components[i], v.components[j]
             constant = _calibrate_tail_constant(c1, c2, s0, t0, eps_prime, v.phase)
             level = None
-            for N in range(129):
+            for N in range(DEFAULT_LIMIT_CAP + 1):
                 if geometric_tail_bound(c1, c2, N, eps_prime, constant) <= tol:
                     level = N
                     break
             if level is None:
-                reachable = geometric_tail_bound(c1, c2, 128, eps_prime, constant)
+                reachable = geometric_tail_bound(c1, c2, DEFAULT_LIMIT_CAP, eps_prime, constant)
                 raise ToleranceUnreachable(
                     f"tolerance unreachable for entry ({i}, {j}): reachable {reachable:g}",
-                    reachable_bound=reachable, cap=128,
+                    reachable_bound=reachable, cap=DEFAULT_LIMIT_CAP,
                 )
             best = max(best, level)
     for c in v.components:

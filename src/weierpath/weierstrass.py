@@ -44,10 +44,7 @@ __all__ = [
     "eval_limit",
     "eval_truncated_grid",
     "eval_derivative_affine",
-    "DEFAULT_N_CAP",
 ]
-
-DEFAULT_N_CAP = 64  # a^n below machine epsilon past this for the lift range
 
 
 class Phase(str, enum.Enum):
