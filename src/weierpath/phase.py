@@ -119,8 +119,8 @@ class TrigTable:
     """Lookup table of cos/sin(pi*r/den) for all residues r in [0, 2*den).
 
     Serves grids of rationals with common denominator ``den``: the value
-    cos(w*pi*k/den) is ``cos_at((w mod 2den) * k mod 2den)`` with exact
-    integer arithmetic throughout.
+    cos(w*pi*k/den) is the table entry at residue (w mod 2den) * k mod 2den,
+    with exact integer arithmetic throughout.
     """
 
     def __init__(self, den: int):
@@ -155,12 +155,6 @@ class TrigTable:
             # keep the modular product inside int64 (c < 2*den <= 2^21)
             return ((idx % two_den) * c) % two_den
         return (idx * c) % two_den
-
-    def cos_at(self, residues: np.ndarray) -> np.ndarray:
-        return self._cos[residues]
-
-    def sin_at(self, residues: np.ndarray) -> np.ndarray:
-        return self._sin[residues]
 
     def cos_scaled(self, scale: int, idx: np.ndarray) -> np.ndarray:
         return self._cos[self.residues(scale, idx)]

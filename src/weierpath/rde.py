@@ -13,8 +13,9 @@ Two solvers for dY = M(Y) dW on [0, t_end]:
       Y += sigma_j(Y) X^j + (D sigma_j sigma_i)(Y) A^(i,j),
 
   consuming both levels of the lift increment over each step.  Increments
-  come from a uniform-grid lift table: grid-value differences and
-  iterated_pairs between consecutive grid points, checked against direct lifts.
+  come from a uniform-grid lift table (_lift_table): grid-value differences,
+  iterated_pairs between consecutive grid points for the entries i < j, and
+  the other entries from the first level (roughpath._geometric_second).
 
 Linear-in-state fields admit a vectorized RK4 propagator (each step is a
 d x d matrix acting on Y, built from batched stage matrices and reduced in
@@ -27,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Optional, Sequence
 
 import numpy as np
@@ -34,7 +36,7 @@ import numpy as np
 from .errors import ParameterError
 from .iterated import iterated_pairs
 from .phase import AffineNodes, TrigTable, to_fraction, unit_time
-from .roughpath import _resolve_level
+from .roughpath import _geometric_second, _resolve_level
 from .weierstrass import (
     TruncationPolicy,
     VectorWeierstrass,
@@ -320,7 +322,8 @@ def _lift_table(driver: VectorWeierstrass, N: int, h: Fraction, K: int):
     """Per-step first and second level increments of the level-N lift.
 
     For table-sized denominators the whole uniform grid is evaluated at
-    once with exact phases; otherwise entries fall back to scalar calls.
+    once with exact phases (iterated_pairs for the entries i < j);
+    otherwise each step is a scalar lift_truncated.
     """
     d = driver.d
     den = (h / 1).denominator
@@ -330,13 +333,10 @@ def _lift_table(driver: VectorWeierstrass, N: int, h: Fraction, K: int):
         idx = num * np.arange(K + 1, dtype=np.int64)
         w = np.stack([eval_truncated_grid(c, N, table, idx) for c in driver.components], axis=1)
         first = np.diff(w, axis=0)  # (K, d)
-        second = np.zeros((K, d, d))
-        for i in range(d):
-            for j in range(d):
-                second[:, i, j] = iterated_pairs(
-                    driver.components[i], driver.components[j], N, table, idx[:-1], idx[1:]
-                )
-        return first, second
+        cs = driver.components
+        upper = {(i, j): iterated_pairs(cs[i], cs[j], N, table, idx[:-1], idx[1:])
+                 for i, j in combinations(range(d), 2)}
+        return first, _geometric_second(first, upper)
     first = np.zeros((K, d))
     second = np.zeros((K, d, d))
     from .roughpath import lift_truncated  # local import to avoid a cycle

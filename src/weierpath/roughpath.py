@@ -4,8 +4,10 @@ The lift of the level-N truncation over [s, t] is the pair
 
     ( W_N(t) - W_N(s),  A_N(s, t) )
 
-where A_N[i][j] is the iterated integral of component i against component j
-(diagonal included).  This module builds truncated and limit lifts, checks
+where A_N[i][j] is the iterated integral of component i against component j.
+Only the entries i < j are mode double sums; A_ii = X_i^2 / 2 and A_ji =
+X_i X_j - A_ij follow from the first level X, as the lift is geometric.
+This module builds truncated and limit lifts, checks
 the algebraic rough-path axioms (increment consistency and the Chen
 relation), estimates the two Hoelder-type seminorm parts on dyadic grids,
 and measures the geometric rate at which truncated lifts converge.
@@ -25,15 +27,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ParameterError, ToleranceUnreachable
+from .errors import ParameterError
 from .iterated import (
     DEFAULT_LIMIT_CAP,
-    geometric_tail_bound,
-    _calibrate_tail_constant,
+    _tail_level,
     _truncated_best_path,
     iterated_grid_prefix,
     iterated_integral_limit,
@@ -124,32 +126,47 @@ def _interval(s, t) -> tuple[Fraction, Fraction]:
     return s, t
 
 
+def _geometric_second(first: np.ndarray, upper: dict) -> np.ndarray:
+    """Level 2 of a geometric lift from its first level and strict upper entries.
+
+    ``first`` has shape (..., d) and ``upper[(i, j)]``, i < j, holds A_ij
+    with shape (...).  Returns the (..., d, d) matrix with A_ii = X_i^2 / 2
+    and A_ji = X_i X_j - A_ij, since A_ij + A_ji = X_i X_j.
+    """
+    first = np.asarray(first, dtype=np.float64)
+    second = first[..., :, None] * first[..., None, :]
+    for i in range(first.shape[-1]):
+        second[..., i, i] *= 0.5
+    for (i, j), a_ij in upper.items():
+        second[..., j, i] -= a_ij
+        second[..., i, j] = a_ij
+    return second
+
+
 def lift_truncated(v: VectorWeierstrass, N: int, s, t) -> RoughIncrement:
     """Canonical lift of the level-N truncation over [s, t].
 
     The first level is the increment of the truncated sums; the second
-    level is the full matrix of iterated integrals, diagonal included.
+    level sums the entries i < j and derives the rest (_geometric_second).
     """
     s, t = _interval(s, t)
     d = v.d
+    if s == t:
+        return RoughIncrement(s=s, t=t, first=np.zeros(d), second=np.zeros((d, d)))
     first = eval_vector(v, N, t) - eval_vector(v, N, s)
-    second = np.zeros((d, d))
-    if s != t:
-        for i in range(d):
-            for j in range(d):
-                second[i, j] = _truncated_best_path(
-                    v.components[i], v.components[j], N, s, t, v.phase
-                )
-    else:
-        first = np.zeros(d)
-    return RoughIncrement(s=s, t=t, first=first, second=second)
+    cs = v.components
+    upper = {(i, j): _truncated_best_path(cs[i], cs[j], N, s, t, v.phase)
+             for i, j in combinations(range(d), 2)}
+    return RoughIncrement(s=s, t=t, first=first, second=_geometric_second(first, upper))
 
 
 def lift_limit(v: VectorWeierstrass, policy: TruncationPolicy, s, t) -> RoughIncrement:
     """Limit lift over [s, t]: tail-exact first level, tolerance-bounded second.
 
-    Requires every component exponent above 1/3 (the validity range of the
-    level-2 lift); the error message names the offending component.
+    The entries i < j are iterated_integral_limit values; the rest follow
+    from the first level (_geometric_second).  Requires every component
+    exponent above 1/3 (the validity range of the level-2 lift); the error
+    message names the offending component.
     """
     s, t = _interval(s, t)
     v.require_lift_range()
@@ -160,15 +177,11 @@ def lift_limit(v: VectorWeierstrass, policy: TruncationPolicy, s, t) -> RoughInc
     if s == t:
         return RoughIncrement(s=s, t=t, first=np.zeros(d), second=np.zeros((d, d)))
     first = np.array([eval_limit(c, t) - eval_limit(c, s) for c in v.components])
-    second = np.zeros((d, d))
-    for i in range(d):
-        for j in range(d):
-            res = iterated_integral_limit(
-                v.components[i], v.components[j], s, t,
-                tol=policy.tol, eps_prime=policy.eps_prime,
-            )
-            second[i, j] = res.value
-    return RoughIncrement(s=s, t=t, first=first, second=second)
+    cs = v.components
+    upper = {(i, j): iterated_integral_limit(cs[i], cs[j], s, t, tol=policy.tol,
+                                             eps_prime=policy.eps_prime).value
+             for i, j in combinations(range(d), 2)}
+    return RoughIncrement(s=s, t=t, first=first, second=_geometric_second(first, upper))
 
 
 def chen_residual(v: VectorWeierstrass, N: int, s, u, t) -> np.ndarray:
@@ -222,7 +235,11 @@ def _validate_depth(depth: int) -> int:
 
 
 def _level_tables(v: VectorWeierstrass, levels: Sequence[int], depth: int):
-    """First-level values and second-level prefixes on the dyadic grid."""
+    """First-level values and second-level prefixes on the dyadic grid.
+
+    W[(i, N)] is W_i at level N and Q[N][:, i, j] is A_ij(0, .): prefixes
+    i < j are mode sweeps, the rest follow from X = W(.) - W(0).
+    """
     den = 1 << depth
     table = TrigTable(den)
     idx = np.arange(den + 1, dtype=np.int64)
@@ -231,10 +248,15 @@ def _level_tables(v: VectorWeierstrass, levels: Sequence[int], depth: int):
         for ci in range(v.d)
         for N in levels
     }
+    cs = v.components
+    upper = {(i, j): iterated_grid_prefix(cs[i], cs[j], table, idx, levels)
+             for i, j in combinations(range(v.d), 2)}
     Q = {
-        (i, j): iterated_grid_prefix(v.components[i], v.components[j], table, idx, levels)
-        for i in range(v.d)
-        for j in range(v.d)
+        N: _geometric_second(
+            np.stack([W[(ci, N)] - W[(ci, N)][0] for ci in range(v.d)], axis=1),
+            {ij: pref[N] for ij, pref in upper.items()},
+        )
+        for N in levels
     }
     return idx, W, Q
 
@@ -285,13 +307,16 @@ def _pair_blocks(den: int, depth: int):
         yield rows, cols, sep, (sep > 0) & (sep <= max_sep)
 
 
-def _second_level_rows(q, wi, wj, rows, cols):
-    """A(s, t) for selected s rows and t cols, via the Chen prefix identity."""
-    return (
-        q[cols][None, :]
-        - q[rows, None]
-        - (wi[rows, None] - wi[0]) * (wj[cols][None, :] - wj[rows, None])
-    )
+def _second_level_rows(q, wi, wj, rows, cols, out, tmp):
+    """Write A(s, t) for selected s rows and t cols into ``out``, via the Chen prefix identity.
+
+    ``out`` and ``tmp`` are (rows, cols) buffers, so that a sweep allocates
+    no block-sized temporaries per call.
+    """
+    np.subtract(q[cols][None, :], q[rows, None], out=out)
+    np.subtract(wj[cols][None, :], wj[rows, None], out=tmp)
+    tmp *= wi[rows, None] - wi[0]
+    out -= tmp
 
 
 def _norm_parts(v: VectorWeierstrass, N: int, alpha: float, depth: int) -> tuple[float, float]:
@@ -304,6 +329,7 @@ def _norm_parts(v: VectorWeierstrass, N: int, alpha: float, depth: int) -> tuple
         dt = np.where(mask, sep, 1) / den
         w1 = np.where(mask, dt**-alpha, 0.0)
         w2 = np.where(mask, dt ** (-2 * alpha), 0.0)
+        a, tmp = np.empty((2,) + mask.shape)
         for ci in range(v.d):
             wv = W[(ci, N)]
             m = float(np.max(np.abs(wv[cols][None, :] - wv[rows, None]) * w1))
@@ -311,7 +337,7 @@ def _norm_parts(v: VectorWeierstrass, N: int, alpha: float, depth: int) -> tuple
         for i in range(v.d):
             wi = W[(i, N)]
             for j in range(v.d):
-                a = _second_level_rows(Q[(i, j)][N], wi, W[(j, N)], rows, cols)
+                _second_level_rows(Q[N][:, i, j], wi, W[(j, N)], rows, cols, a, tmp)
                 area = max(area, float(np.max(np.abs(a) * w2)))
     return holder, area
 
@@ -326,7 +352,7 @@ def _fine_scale_area_sup(v: VectorWeierstrass, N: int, alpha: float, depth: int)
     for i in range(v.d):
         wi = W[(i, N)]
         for j in range(v.d):
-            q = Q[(i, j)][N]
+            q = Q[N][:, i, j]
             wj = W[(j, N)]
             a = q[k + 1] - q[k] - (wi[k] - wi[0]) * (wj[k + 1] - wj[k])
             sup = max(sup, float(np.max(np.abs(a))) / dt ** (2 * alpha))
@@ -343,28 +369,14 @@ def _resolve_level(v: VectorWeierstrass, truncation) -> int:
         raise ParameterError("truncation must be an int level or a TruncationPolicy")
     if truncation.mode == "fixed":
         return truncation.N
-    min_alpha = min(v.alphas)
-    truncation.check_eps_prime(min_alpha)
+    truncation.check_eps_prime(min(v.alphas))
     tol = truncation.tol
-    eps_prime = truncation.eps_prime
-    best = 0
-    s0, t0 = Fraction(0), Fraction(1)
-    for i in range(v.d):
-        for j in range(v.d):
-            c1, c2 = v.components[i], v.components[j]
-            constant = _calibrate_tail_constant(c1, c2, s0, t0, eps_prime, v.phase)
-            level = None
-            for N in range(DEFAULT_LIMIT_CAP + 1):
-                if geometric_tail_bound(c1, c2, N, eps_prime, constant) <= tol:
-                    level = N
-                    break
-            if level is None:
-                reachable = geometric_tail_bound(c1, c2, DEFAULT_LIMIT_CAP, eps_prime, constant)
-                raise ToleranceUnreachable(
-                    f"tolerance unreachable for entry ({i}, {j}): reachable {reachable:g}",
-                    reachable_bound=reachable, cap=DEFAULT_LIMIT_CAP,
-                )
-            best = max(best, level)
+    best = max(
+        _tail_level(c1, c2, Fraction(0), Fraction(1), tol, truncation.eps_prime,
+                    DEFAULT_LIMIT_CAP)[0]
+        for c1 in v.components
+        for c2 in v.components
+    )
     for c in v.components:
         n = 0
         while 2 * c.a ** (n + 1) / (1 - c.a) > tol and n < 4096:
@@ -429,6 +441,7 @@ def area_holder_sup(v: VectorWeierstrass, levels: Sequence[int], eps: float, dep
     out = {N: 0.0 for N in levels}
     for rows, cols, sep, mask in _pair_blocks(den, depth):
         dt = np.where(mask, sep, 1) / den
+        a, tmp = np.empty((2,) + mask.shape)
         for i in range(v.d):
             for j in range(v.d):
                 expo = (
@@ -438,7 +451,7 @@ def area_holder_sup(v: VectorWeierstrass, levels: Sequence[int], eps: float, dep
                 )
                 w = np.where(mask, dt**-expo, 0.0)
                 for N in levels:
-                    a = _second_level_rows(Q[(i, j)][N], W[(i, N)], W[(j, N)], rows, cols)
+                    _second_level_rows(Q[N][:, i, j], W[(i, N)], W[(j, N)], rows, cols, a, tmp)
                     m = float(np.max(np.abs(a) * w))
                     if m > out[N]:
                         out[N] = m
@@ -570,12 +583,15 @@ def convergence_report(v: VectorWeierstrass, Ns: Sequence[int], *,
     entries = np.zeros((len(Ns), d, d))
     for rows, cols, sep, mask in _pair_blocks(den, depth):
         inv = np.where(mask, 1.0, 0.0)
+        a_ref, a_n, tmp = np.empty((3,) + mask.shape)
         for i in range(d):
             for j in range(d):
-                a_ref = _second_level_rows(Q[(i, j)][ref], W[(i, ref)], W[(j, ref)], rows, cols)
+                _second_level_rows(Q[ref][:, i, j], W[(i, ref)], W[(j, ref)], rows, cols,
+                                   a_ref, tmp)
                 for k, N in enumerate(Ns):
-                    a_n = _second_level_rows(Q[(i, j)][N], W[(i, N)], W[(j, N)], rows, cols)
-                    m = float(np.max(np.abs(a_ref - a_n) * inv))
+                    _second_level_rows(Q[N][:, i, j], W[(i, N)], W[(j, N)], rows, cols, a_n, tmp)
+                    np.subtract(a_ref, a_n, out=a_n)
+                    m = float(np.max(np.multiply(np.abs(a_n, out=a_n), inv, out=a_n)))
                     if m > entries[k, i, j]:
                         entries[k, i, j] = m
 

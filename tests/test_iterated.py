@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -250,6 +251,16 @@ class TestIteratedLimit:
         allowance = geometric_tail_bound(comp_b2, comp_b3, 40, 0.1, c40)
         assert abs(res.value - deep) <= 1e-6 + allowance
 
+    def test_level_is_the_smallest_within_tolerance(self, comp_b2, comp_b3):
+        from weierpath.iterated import _calibrate_tail_constant
+
+        s, t = Fraction(0), Fraction(1, 2)
+        res = iterated_integral_limit(comp_b2, comp_b3, s, t, tol=1e-6, eps_prime=0.1)
+        c = _calibrate_tail_constant(comp_b2, comp_b3, s, t, 0.1, Phase.COSINE)
+        assert res.tail_bound == geometric_tail_bound(comp_b2, comp_b3, res.n_used, 0.1, c)
+        assert res.tail_bound <= 1e-6
+        assert geometric_tail_bound(comp_b2, comp_b3, res.n_used - 1, 0.1, c) > 1e-6
+
     def test_tolerance_unreachable_carries_bound(self, comp_b2, comp_b3):
         with pytest.raises(ToleranceUnreachable) as exc:
             iterated_integral_limit(comp_b2, comp_b3, 0, 1, tol=1e-30)
@@ -288,6 +299,21 @@ class TestGridPaths:
                 comp_b2, comp_b3, 5, Fraction(int(s_idx[k]), den), Fraction(int(t_idx[k]), den)
             )
             assert vals[k] == pytest.approx(want, abs=2e-13)
+
+    def test_pairs_memory_stays_bounded(self, comp_b2, comp_b3):
+        # N = 60 over 2,048 intervals: the N + 1 integrator arrays need about
+        # 1 MB, one array per distinct frequency k +- m over 100 MB
+        den = 2048
+        table = TrigTable(den)
+        s_idx = np.arange(den, dtype=np.int64)
+        t_idx = s_idx + 1
+        tracemalloc.start()
+        try:
+            iterated_pairs(comp_b2, comp_b3, 60, table, s_idx, t_idx)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_pairs_sine_phase(self):
         c1 = validate_component(2, a="18/25", phase="sin")

@@ -184,6 +184,10 @@ class TestRoughSolver:
         assert endpoint == pytest.approx([3.381153206554035, 0.7303091898054921], rel=1e-6)
 
     def test_lift_table_matches_direct_lift(self, fig_problem):
+        # both sides derive their diagonal and lower entries from level 1, so
+        # the second level is compared against all entries of iterated_pairs
+        from weierpath.iterated import iterated_pairs
+        from weierpath.phase import TrigTable
         from weierpath.rde import _lift_table
         from weierpath import lift_truncated
 
@@ -192,7 +196,13 @@ class TestRoughSolver:
         for k in (0, 7, 31):
             inc = lift_truncated(fig_problem.driver, 5, h * k, h * (k + 1))
             assert np.allclose(first[k], inc.first, atol=1e-13)
-            assert np.allclose(second[k], inc.second, atol=1e-13)
+        table = TrigTable(32)
+        idx = np.arange(33, dtype=np.int64)
+        comps = fig_problem.driver.components
+        for i in range(2):
+            for j in range(2):
+                want = iterated_pairs(comps[i], comps[j], 5, table, idx[:-1], idx[1:])
+                assert np.allclose(second[:, i, j], want, atol=1e-13)
 
 
 class TestApproximationGap:

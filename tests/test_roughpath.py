@@ -1,8 +1,9 @@
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from weierpath import (
     ParameterError,
@@ -19,7 +20,15 @@ from weierpath import (
     rough_norm,
     validate_component,
 )
+from weierpath.iterated import (
+    _MAX_TABLE_DEN_FOR_PAIRS,
+    iterated_grid_prefix,
+    iterated_integral_truncated,
+    iterated_pairs,
+)
 from weierpath.phase import TrigTable
+from weierpath.rde import _lift_table
+from weierpath.roughpath import _level_tables, _resolve_level
 from weierpath.weierstrass import eval_truncated_grid, eval_vector
 
 
@@ -85,6 +94,90 @@ class TestLiftLimit:
     def test_unreachable_tolerance_propagates(self, figure_pair):
         with pytest.raises(ToleranceUnreachable):
             lift_limit(figure_pair, TruncationPolicy.tolerance(1e-30, 0.1), 0, 1)
+
+
+# Drivers whose derived second-level entries are checked against entries
+# summed independently: the figure pair, dependent bases (m == k occurs),
+# equal bases, the sine phase, and d = 3.
+_DERIVED_DRIVERS = {
+    "figure": ((2, "18/25", "cos"), (3, "3/5", "cos")),
+    "dependent": ((2, "18/25", "cos"), (8, "2/5", "cos")),
+    "equal_bases": ((2, "18/25", "cos"), (2, "3/5", "cos")),
+    "sine": ((2, "18/25", "sin"), (3, "3/5", "sin")),
+    "sine_dependent": ((8, "2/5", "sin"), (2, "18/25", "sin")),
+    "d3": ((2, "18/25", "cos"), (3, "3/5", "cos"), (8, "2/5", "cos")),
+}
+
+_drivers = st.sampled_from(sorted(_DERIVED_DRIVERS)).map(
+    lambda name: VectorWeierstrass(
+        [validate_component(b, a=a, phase=ph) for b, a, ph in _DERIVED_DRIVERS[name]]
+    )
+)
+
+
+@st.composite
+def _intervals(draw, min_den, max_den):
+    den = draw(st.integers(min_den, max_den))
+    ends = sorted(Fraction(draw(st.integers(0, den)), den) for _ in range(2))
+    return ends[0], ends[1]
+
+
+def _all_entries(v, entry):
+    return np.array([[entry(ci, cj) for cj in v.components] for ci in v.components])
+
+
+class TestGeometricSecondLevel:
+    """Entries derived from level 1 against all d^2 entries summed on the test side."""
+
+    @given(v=_drivers, N=st.integers(0, 8), st_pair=_intervals(1, 1024))
+    def test_lift_truncated_table_path(self, v, N, st_pair):
+        s, t = st_pair
+        inc = lift_truncated(v, N, s, t)
+        want = _all_entries(v, lambda ci, cj: iterated_integral_truncated(ci, cj, N, s, t))
+        assert np.abs(inc.second - want).max() <= 1e-12
+        fixed = lift_limit(v, TruncationPolicy.fixed(N), s, t)
+        assert np.abs(fixed.second - want).max() <= 1e-12
+
+    @given(v=_drivers, N=st.integers(0, 6),
+           st_pair=_intervals(_MAX_TABLE_DEN_FOR_PAIRS + 1, 4 * _MAX_TABLE_DEN_FOR_PAIRS))
+    def test_lift_truncated_scalar_path(self, v, N, st_pair):
+        s, t = st_pair
+        assume(math.lcm(s.denominator, t.denominator) > _MAX_TABLE_DEN_FOR_PAIRS)
+        inc = lift_truncated(v, N, s, t)
+        want = _all_entries(v, lambda ci, cj: iterated_integral_truncated(ci, cj, N, s, t))
+        assert np.abs(inc.second - want).max() <= 1e-12
+
+    @given(v=_drivers, N=st.integers(0, 10), K=st.integers(1, 64), den_factor=st.integers(1, 16))
+    def test_lift_table_steps(self, v, N, K, den_factor):
+        h = Fraction(1, K * den_factor)
+        first, second = _lift_table(v, N, h, K)
+        table = TrigTable(h.denominator)
+        idx = np.arange(K + 1, dtype=np.int64)
+        want = _all_entries(
+            v, lambda ci, cj: iterated_pairs(ci, cj, N, table, idx[:-1], idx[1:])
+        ).transpose(2, 0, 1)
+        assert second.shape == want.shape
+        assert np.abs(second - want).max() <= 1e-12
+
+    @given(v=_drivers, levels=st.lists(st.integers(0, 10), min_size=1, max_size=3),
+           depth=st.integers(1, 8))
+    def test_level_table_prefixes(self, v, levels, depth):
+        idx, W, Q = _level_tables(v, levels, depth)
+        table = TrigTable(1 << depth)
+        for i, ci in enumerate(v.components):
+            for j, cj in enumerate(v.components):
+                want = iterated_grid_prefix(ci, cj, table, idx, levels)
+                for N in levels:
+                    assert np.abs(Q[N][:, i, j] - want[N]).max() <= 1e-12
+
+    def test_upper_entries_keep_their_bits(self, figure_pair):
+        s, t = Fraction(3, 40), Fraction(31, 40)
+        inc = lift_truncated(figure_pair, 9, s, t)
+        table = TrigTable(40)
+        c1, c2 = figure_pair.components
+        direct = iterated_pairs(c1, c2, 9, table, np.array([3]), np.array([31]))[0]
+        assert inc.second[0, 1] == direct
+        assert np.array_equal(np.diag(inc.second), 0.5 * inc.first * inc.first)
 
 
 class TestChen:
@@ -183,6 +276,12 @@ class TestRoughNorm:
         assert est.area_part > 0
         assert "level N=" in est.grid_spec
 
+    def test_tolerance_level_of_the_figure_pair(self, figure_pair):
+        assert _resolve_level(figure_pair, TruncationPolicy.tolerance(1e-6, 0.1)) == 73
+        with pytest.raises(ToleranceUnreachable, match="unreachable") as exc:
+            _resolve_level(figure_pair, TruncationPolicy.tolerance(1e-30, 0.1))
+        assert exc.value.cap == 128 and exc.value.reachable_bound > 0
+
     def test_json_keys(self, figure_pair):
         est = rough_norm(figure_pair, 8, 0.46, 6)
         d = est.to_json_dict()
@@ -204,6 +303,19 @@ class TestAreaHolderSup:
 
 
 class TestConvergenceReport:
+    def test_entry_sups_match_direct_lifts(self, figure_pair):
+        # the buffered Chen-prefix sweep against pairwise lifts at depth 4
+        report = convergence_report(figure_pair, [2, 3], depth=4, reference_offset=2)
+        want = np.zeros((2, 2, 2))
+        for a in range(16):
+            for b in range(a + 1, 17):
+                s, t = Fraction(a, 16), Fraction(b, 16)
+                ref = lift_truncated(figure_pair, 5, s, t).second
+                for k, N in enumerate((2, 3)):
+                    diff = np.abs(ref - lift_truncated(figure_pair, N, s, t).second)
+                    want[k] = np.maximum(want[k], diff)
+        assert np.abs(report.sup_second_entries - want).max() <= 1e-12
+
     def test_requires_two_levels(self, figure_pair):
         with pytest.raises(ParameterError, match="insufficient"):
             convergence_report(figure_pair, [4])
