@@ -1,30 +1,31 @@
 """Closed-form elementary integrals and the truncated/limit iterated integrals.
 
 The iterated integral of two truncated Weierstrass sums over [s, t],
+int_s^t (W1_N(r) - W1_N(s)) dW2_N(r), is the double sum over n, ell <= N of
+a1^n a2^ell J_mk(s, t), with m = b1^n, k = b2^ell and the elementary integral
 
-    int_s^t (W1_N(r) - W1_N(s)) dW2_N(r),
+    J_mk(s, t) = int_s^t (T_m(r) - T_m(s)) dT_k(r).
 
-expands into a double sum over frequency modes of elementary integrals
+Here T_w(x) = trig(w pi x) in the components' phase and U_w is the other
+function.  By product-to-sum on cos((k +- m) pi x), in both phases,
 
-    int_s^t (trig(b1^n pi r) - trig(b1^n pi s)) d trig(b2^ell pi r).
+    J_mk(s, t) = P_mk(t) - P_mk(s) - T_m(s) (T_k(t) - T_k(s)),
+    P_mk = G T_m T_k + H U_m U_k,
 
-With m = b1^n, k = b2^ell and Dcos_w := cos(w pi t) - cos(w pi s), the
-cosine-phase closed form is
+with G = k^2/(k^2 - m^2) and H = km/(k^2 - m^2), or G = 1/2 and H = 0 when
+m == k.  Summed over modes with C = a1^n a2^ell, the level-N value is a
+bilinear form in 4(N + 1) exact trig values per time point (_levy_kernel):
 
-    m == k:  1/2 * Dcos_m^2 / ... precisely 1/2 (cos(m pi t) - cos(m pi s))^2
-    m != k:  (k/2) [ Dcos_{k+m}/(k+m) + Dcos_{k-m}/(k-m) ] - cos(m pi s) Dcos_k
+    I^N(s, t) = F(t) - F(s) - T1(s)^T C (T2(t) - T2(s)),
+    F(x) = T1(x)^T (C*G) T2(x) + U1(x)^T (C*H) U2(x),
 
-(derived from the product-to-sum antiderivative; certified against the
-quadrature oracle in the test suite before anything else relies on it).
-The sine-phase analogue, with Dsin_w defined the same way, is
-
-    m == k:  1/2 (sin(m pi t) - sin(m pi s))^2
-    m != k:  -(k/2) [ Dcos_{m+k}/(m+k) + Dcos_{m-k}/(m-k) ] - sin(m pi s) Dsin_k
-
-All frequencies are exact big integers and all phases are reduced exactly,
-so the formulas stay accurate at any mode order.  Double sums run in a
-fixed (n outer, ell inner) order; scalar sums use math.fsum, grid sweeps
-use Kahan compensation.  Everything is pure and thread-safe.
+evaluated by matrix products over blocks of intervals.  elementary_integral
+keeps the Dcos_{k +- m} form of the same closed form and
+iterated_integral_truncated sums it pair by pair with math.fsum; together
+with the quadrature oracle they are the references the kernel is tested
+against.  Frequencies are exact big integers and every phase is reduced
+exactly, so both forms stay accurate at any mode order.  Everything is pure
+and thread-safe.
 """
 
 from __future__ import annotations
@@ -37,14 +38,9 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import ParameterError, ToleranceUnreachable
-from .phase import AffineNodes, TrigTable, cos_pi, phase_mod2, sin_pi, unit_time
+from .phase import _MAX_TABLE_DEN, AffineNodes, TrigTable, cos_pi, phase_mod2, sin_pi, unit_time
 from .quadrature import QuadratureResult, integrate
-from .weierstrass import (
-    Phase,
-    TruncationPolicy,
-    WeierstrassComponent,
-    _kahan_update,
-)
+from .weierstrass import Phase, TruncationPolicy, WeierstrassComponent
 
 __all__ = [
     "FrequencyPair",
@@ -293,23 +289,19 @@ def _calibrate_tail_constant(c1: WeierstrassComponent, c2: WeierstrassComponent,
                              phase: Phase, pilot: int = 20) -> float:
     """Empirical constant for the mode bound |J| <= C b1^(e'n) b2^(e'ell).
 
-    Twice the largest damped elementary integral over the pilot grid; the
-    tail claim is validated a posteriori in the tests by deepening N.
+    Twice the largest damped elementary integral over the pilot grid, with
+    the (pilot + 1) x (pilot + 1) matrix of J from scalar features in the
+    closed form of _levy_kernel, taken entry by entry.  The tail claim is
+    validated a posteriori in the tests by deepening N.
     """
-    best = 0.0
-    d1 = c1.b ** (-eps_prime)
-    d2 = c2.b ** (-eps_prime)
-    w1 = 1.0
-    for n in range(pilot + 1):
-        w2 = 1.0
-        for ell in range(pilot + 1):
-            pair = FrequencyPair(c1.b, c2.b, n, ell)
-            val = abs(elementary_integral(pair, s, t, phase)) * w1 * w2
-            if val > best:
-                best = val
-            w2 *= d2
-        w1 *= d1
-    return 2.0 * best
+    (T1, U1), (T2, U2) = (_features(c, pilot, [s, t]) for c in (c1, c2))
+    G, H = _mode_pair_gh(c1.b, c2.b, pilot)
+    J = (G * (np.outer(T1[1], T2[1]) - np.outer(T1[0], T2[0]))
+         + H * (np.outer(U1[1], U2[1]) - np.outer(U1[0], U2[0]))
+         - np.outer(T1[0], T2[1] - T2[0]))
+    modes = np.arange(pilot + 1)
+    damping = np.outer(c1.b ** (-eps_prime * modes), c2.b ** (-eps_prime * modes))
+    return 2.0 * float(np.max(np.abs(J) * damping))
 
 
 def _tail_level(c1: WeierstrassComponent, c2: WeierstrassComponent, s: Fraction,
@@ -343,7 +335,7 @@ def iterated_integral_limit(c1: WeierstrassComponent, c2: WeierstrassComponent,
     Raises ToleranceUnreachable (carrying the bound reachable at the cap)
     if no N <= n_cap suffices.
     """
-    phase = _require_same_phase(c1, c2)
+    _require_same_phase(c1, c2)
     s = unit_time(s)
     t = unit_time(t)
     if s > t:
@@ -360,7 +352,7 @@ def iterated_integral_limit(c1: WeierstrassComponent, c2: WeierstrassComponent,
             f"eps_prime must lie in (0, min alpha) = (0, {min_alpha:.6f}), got {eps_prime}"
         )
     n_used, bound = _tail_level(c1, c2, s, t, tol, eps_prime, n_cap)
-    return LimitResult(_truncated_best_path(c1, c2, n_used, s, t, phase), n_used, bound)
+    return LimitResult(_truncated_pair(c1, c2, n_used, s, t), n_used, bound)
 
 
 @dataclass(frozen=True)
@@ -392,128 +384,139 @@ class IteratedIntegralRequest:
 
 
 # ---------------------------------------------------------------------------
-# vectorized grid paths (exact table phases)
+# the mode-pair kernel: level 2 as a bilinear form over exact trig features
 
-_MAX_TABLE_DEN_FOR_PAIRS = 1 << 20
+_BLOCK = 1024  # intervals per kernel call; bounds the feature arrays
 
 
-def _mode_values_grid(table: TrigTable, idx: np.ndarray, m: int, k: int, phase: Phase,
-                      cos_cache: dict) -> np.ndarray:
-    """Elementary integral J(0, idx/den) vectorized over grid indices."""
+def _features(c: WeierstrassComponent, N: int, points, table: Optional[TrigTable] = None):
+    """(T, U), each of shape (points, N + 1): T = trig(b^n pi x) in c's phase, U the other one.
 
-    def cosv(w: int) -> np.ndarray:
-        arr = cos_cache.get(w)
-        if arr is None:
-            arr = table.cos_scaled(w, idx)
-            cos_cache[w] = arr
-        return arr
+    With a table, points are grid indices k (x = k/den) and the values are
+    table gathers; without one, points are Fraction times, reduced exactly
+    by phase_mod2 and evaluated by cos_pi and sin_pi.
+    """
+    cos_vals = np.empty((N + 1, len(points)))
+    sin_vals = np.empty_like(cos_vals)
+    w = 1
+    for n in range(N + 1):
+        if table is None:
+            phases = [phase_mod2(w, x) for x in points]
+            cos_vals[n] = [cos_pi(p) for p in phases]
+            sin_vals[n] = [sin_pi(p) for p in phases]
+        else:
+            cos_vals[n] = table.cos_scaled(w, points)
+            sin_vals[n] = table.sin_scaled(w, points)
+        w *= c.b
+    return (cos_vals.T, sin_vals.T) if c.phase is Phase.COSINE else (sin_vals.T, cos_vals.T)
 
-    if phase is Phase.COSINE:
-        if m == k:
-            d = cosv(m) - 1.0
-            return 0.5 * d * d
-        return (
-            0.5 * float(Fraction(k, k + m)) * (cosv(k + m) - 1.0)
-            + 0.5 * float(Fraction(k, k - m)) * (cosv(abs(k - m)) - 1.0)
-            - (cosv(k) - 1.0)
-        )
-    # sine phase: sin(m pi 0) = 0, so the offset term vanishes at s = 0
-    if m == k:
-        d = table.sin_scaled(m, idx)
-        return 0.5 * d * d
-    return (
-        -0.5 * float(Fraction(k, m + k)) * (cosv(m + k) - 1.0)
-        - 0.5 * float(Fraction(k, m - k)) * (cosv(abs(m - k)) - 1.0)
-    )
+
+def _mode_pair_gh(b1: int, b2: int, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """G and H of the mode-pair antiderivative over m = b1^n, k = b2^ell, n, ell <= N.
+
+    G = k^2 / (k^2 - m^2) and H = k m / (k^2 - m^2), or G = 1/2 and H = 0
+    when m == k; Python int true division rounds both correctly.
+    """
+    ms = [b1**n for n in range(N + 1)]
+    ks = [b2**ell for ell in range(N + 1)]
+    G = np.array([[0.5 if m == k else (k * k) / (k * k - m * m) for k in ks] for m in ms])
+    H = np.array([[0.0 if m == k else (k * m) / (k * k - m * m) for k in ks] for m in ms])
+    return G, H
+
+
+def _coefficients(c1: WeierstrassComponent, c2: WeierstrassComponent, N: int):
+    """C = a1^n a2^ell, C*G and C*H: the three matrices of _levy_kernel."""
+    C = np.outer([c1.a**n for n in range(N + 1)], [c2.a**ell for ell in range(N + 1)])
+    G, H = _mode_pair_gh(c1.b, c2.b, N)
+    return C, C * G, C * H
+
+
+def _rowdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->i", x, y)
+
+
+def _levy_kernel(f1, f2, coef, s_pos, t_pos) -> np.ndarray:
+    """I^N(s, t) = F(t) - F(s) - T1(s)^T C (T2(t) - T2(s)) from point features.
+
+    f1 = (T1, U1) and f2 = (T2, U2) are _features of the two components,
+    coef = (C, C*G, C*H) and F(x) = T1(x)^T (C*G) T2(x) + U1(x)^T (C*H) U2(x);
+    s_pos and t_pos are the rows of the interval ends.
+    """
+    (T1, U1), (T2, U2) = f1, f2
+    C, CG, CH = coef
+    F = _rowdot(T1 @ CG, T2) + _rowdot(U1 @ CH, U2)
+    return F[t_pos] - F[s_pos] - _rowdot(T1[s_pos] @ C, T2[t_pos] - T2[s_pos])
+
+
+def _truncated_pair(c1: WeierstrassComponent, c2: WeierstrassComponent, N: int,
+                    s: Fraction, t: Fraction) -> float:
+    """I^N(s, t) for one interval through _levy_kernel.
+
+    The features come from a TrigTable over the common denominator when it
+    is at most _MAX_TABLE_DEN, and from scalar phase reductions otherwise.
+    """
+    den = math.lcm(s.denominator, t.denominator)
+    table, points = None, [s, t]
+    if den <= _MAX_TABLE_DEN:
+        table = TrigTable(den)
+        points = np.array([x.numerator * (den // x.denominator) for x in points], dtype=np.int64)
+    return float(_levy_kernel(_features(c1, N, points, table), _features(c2, N, points, table),
+                              _coefficients(c1, c2, N), [0], [1])[0])
+
+
+def _kernel_blocks(c1: WeierstrassComponent, c2: WeierstrassComponent, levels: list[int],
+                   table: TrigTable, s_idx: np.ndarray, t_idx: np.ndarray) -> dict[int, np.ndarray]:
+    """I^N(s_idx/den, t_idx/den) for each N in the sorted levels, by blocks of _BLOCK intervals.
+
+    A block builds table features once, at the top level and at its
+    distinct grid points (consecutive intervals share their ends); level N
+    uses the leading N + 1 feature columns and coefficient rows and columns.
+    """
+    top = levels[-1]
+    coef = _coefficients(c1, c2, top)
+    s_flat, t_flat = s_idx.ravel(), t_idx.ravel()
+    out = {N: np.empty(s_flat.shape) for N in levels}
+    for lo in range(0, s_flat.size, _BLOCK):
+        ends = np.concatenate([s_flat[lo : lo + _BLOCK], t_flat[lo : lo + _BLOCK]])
+        points, pos = np.unique(ends, return_inverse=True)
+        f1 = _features(c1, top, points, table)
+        f2 = _features(c2, top, points, table)
+        half = ends.size // 2
+        for N in levels:
+            out[N][lo : lo + half] = _levy_kernel(
+                [x[:, : N + 1] for x in f1], [x[:, : N + 1] for x in f2],
+                [x[: N + 1, : N + 1] for x in coef], pos[:half], pos[half:],
+            )
+    return {N: vals.reshape(s_idx.shape) for N, vals in out.items()}
 
 
 def iterated_grid_prefix(c1: WeierstrassComponent, c2: WeierstrassComponent,
                          table: TrigTable, idx: np.ndarray,
                          levels: Sequence[int]) -> dict[int, np.ndarray]:
-    """I^N(0, idx/den) for each N in levels, in one shell-ordered sweep.
-
-    Modes are added shell by shell (all (n, ell) with max(n, ell) == M in a
-    fixed documented order), with Kahan compensation per grid point, so the
-    level-N snapshot is the exact same double sum for every requested N.
-    """
-    phase = _require_same_phase(c1, c2)
+    """I^N(0, idx/den) for each N in levels, from one feature build per block (_kernel_blocks)."""
+    _require_same_phase(c1, c2)
     levels = sorted(set(int(N) for N in levels))
     if levels[0] < 0:
         raise ParameterError("truncation levels must be nonnegative")
     idx = np.asarray(idx, dtype=np.int64)
-    acc = np.zeros(idx.shape, dtype=np.float64)
-    comp = np.zeros_like(acc)
-    out: dict[int, np.ndarray] = {}
-    cos_cache: dict[int, np.ndarray] = {}
-
-    def add(n: int, ell: int) -> None:
-        m = c1.b**n
-        k = c2.b**ell
-        coeff = (c1.a**n) * (c2.a**ell)
-        _kahan_update(acc, comp, coeff * _mode_values_grid(table, idx, m, k, phase, cos_cache))
-
-    for shell in range(levels[-1] + 1):
-        for ell in range(shell):
-            add(shell, ell)
-        for n in range(shell):
-            add(n, shell)
-        add(shell, shell)
-        if shell in levels:
-            out[shell] = acc.copy()
-    return out
+    return _kernel_blocks(c1, c2, levels, table, np.zeros_like(idx), idx)
 
 
 def iterated_pairs(c1: WeierstrassComponent, c2: WeierstrassComponent, N: int,
                    table: TrigTable, s_idx: np.ndarray, t_idx: np.ndarray) -> np.ndarray:
     """I^N(s, t) vectorized over interval arrays (s_idx/den, t_idx/den).
 
-    Keeps only the N + 1 integrator increments Dcos_k (Dsin_k) and, per n,
-    trig(m pi s); the Dcos_{k +- m} arrays are built per term and dropped.
+    All (N + 1)^2 mode pairs are summed by _levy_kernel on table features,
+    in blocks of _BLOCK intervals (_kernel_blocks).
     """
-    phase = _require_same_phase(c1, c2)
+    _require_same_phase(c1, c2)
     s_idx = np.asarray(s_idx, dtype=np.int64)
     t_idx = np.asarray(t_idx, dtype=np.int64)
     if s_idx.shape != t_idx.shape:
         raise ParameterError("s and t index arrays must have the same shape")
     if np.any(s_idx > t_idx):
         raise ParameterError("requires s <= t")
-    acc = np.zeros(s_idx.shape, dtype=np.float64)
-    comp = np.zeros_like(acc)
-    trig = table.cos_scaled if phase is Phase.COSINE else table.sin_scaled
-    half_sum = 0.5 if phase is Phase.COSINE else -0.5  # sign of the Dcos_{k+m} term
-
-    def dcos(w: int) -> np.ndarray:
-        return table.cos_scaled(w, t_idx) - table.cos_scaled(w, s_idx)
-
-    ks = [c2.b**ell for ell in range(N + 1)]
-    dtrig_k = [trig(k, t_idx) - trig(k, s_idx) for k in ks]
-    for n in range(N + 1):
-        m = c1.b**n
-        trig_s_m = trig(m, s_idx)
-        for ell, k in enumerate(ks):
-            coeff = (c1.a**n) * (c2.a**ell)
-            if m == k:
-                vals = 0.5 * dtrig_k[ell] * dtrig_k[ell]
-            else:
-                vals = (
-                    half_sum * float(Fraction(k, k + m)) * dcos(k + m)
-                    + 0.5 * float(Fraction(k, k - m)) * dcos(abs(k - m))
-                    - trig_s_m * dtrig_k[ell]
-                )
-            _kahan_update(acc, comp, coeff * vals)
-    return acc
-
-
-def _truncated_best_path(c1: WeierstrassComponent, c2: WeierstrassComponent, N: int,
-                         s: Fraction, t: Fraction, phase: Phase) -> float:
-    """Truncated value via the table path when the denominators are small."""
-    den = math.lcm(s.denominator, t.denominator)
-    if den <= _MAX_TABLE_DEN_FOR_PAIRS:
-        table = TrigTable(den)
-        s_idx = np.array([s.numerator * (den // s.denominator)], dtype=np.int64)
-        t_idx = np.array([t.numerator * (den // t.denominator)], dtype=np.int64)
-        return float(iterated_pairs(c1, c2, N, table, s_idx, t_idx)[0])
-    return iterated_integral_truncated(c1, c2, N, s, t)
+    return _kernel_blocks(c1, c2, [N], table, s_idx, t_idx)[N]
 
 
 # ---------------------------------------------------------------------------

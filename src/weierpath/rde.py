@@ -14,8 +14,9 @@ Two solvers for dY = M(Y) dW on [0, t_end]:
 
   consuming both levels of the lift increment over each step.  Increments
   come from a uniform-grid lift table (_lift_table): grid-value differences,
-  iterated_pairs between consecutive grid points for the entries i < j, and
-  the other entries from the first level (roughpath._geometric_second).
+  the bilinear mode-pair kernel (iterated_pairs) between consecutive grid
+  points for the entries i < j, and the other entries from the first level
+  (roughpath._geometric_second).
 
 Linear-in-state fields admit a vectorized RK4 propagator (each step is a
 d x d matrix acting on Y, built from batched stage matrices and reduced in
@@ -35,8 +36,8 @@ import numpy as np
 
 from .errors import ParameterError
 from .iterated import iterated_pairs
-from .phase import AffineNodes, TrigTable, to_fraction, unit_time
-from .roughpath import _geometric_second, _resolve_level
+from .phase import _MAX_TABLE_DEN, AffineNodes, TrigTable, to_fraction, unit_time
+from .roughpath import _geometric_second, _resolve_level, lift_truncated
 from .weierstrass import (
     TruncationPolicy,
     VectorWeierstrass,
@@ -322,30 +323,23 @@ def _lift_table(driver: VectorWeierstrass, N: int, h: Fraction, K: int):
     """Per-step first and second level increments of the level-N lift.
 
     For table-sized denominators the whole uniform grid is evaluated at
-    once with exact phases (iterated_pairs for the entries i < j);
-    otherwise each step is a scalar lift_truncated.
+    once with exact phases: grid-value differences for the first level and
+    one iterated_pairs call per entry i < j over consecutive grid points,
+    whose kernel builds the table features of each grid point once per
+    block.  Otherwise each step is a lift_truncated on scalar features.
     """
-    d = driver.d
     den = (h / 1).denominator
-    num = h.numerator
-    if den <= (1 << 20) and num * K <= den:
+    if den <= _MAX_TABLE_DEN:
         table = TrigTable(den)
-        idx = num * np.arange(K + 1, dtype=np.int64)
+        idx = h.numerator * np.arange(K + 1, dtype=np.int64)
         w = np.stack([eval_truncated_grid(c, N, table, idx) for c in driver.components], axis=1)
         first = np.diff(w, axis=0)  # (K, d)
         cs = driver.components
         upper = {(i, j): iterated_pairs(cs[i], cs[j], N, table, idx[:-1], idx[1:])
-                 for i, j in combinations(range(d), 2)}
+                 for i, j in combinations(range(driver.d), 2)}
         return first, _geometric_second(first, upper)
-    first = np.zeros((K, d))
-    second = np.zeros((K, d, d))
-    from .roughpath import lift_truncated  # local import to avoid a cycle
-
-    for k in range(K):
-        inc = lift_truncated(driver, N, h * k, h * (k + 1))
-        first[k] = inc.first
-        second[k] = inc.second
-    return first, second
+    incs = [lift_truncated(driver, N, h * k, h * (k + 1)) for k in range(K)]
+    return np.array([inc.first for inc in incs]), np.array([inc.second for inc in incs])
 
 
 def solve_rough(problem: RdeProblem, truncation, step=None, *,

@@ -36,7 +36,7 @@ from .errors import ParameterError
 from .iterated import (
     DEFAULT_LIMIT_CAP,
     _tail_level,
-    _truncated_best_path,
+    _truncated_pair,
     iterated_grid_prefix,
     iterated_integral_limit,
 )
@@ -155,7 +155,7 @@ def lift_truncated(v: VectorWeierstrass, N: int, s, t) -> RoughIncrement:
         return RoughIncrement(s=s, t=t, first=np.zeros(d), second=np.zeros((d, d)))
     first = eval_vector(v, N, t) - eval_vector(v, N, s)
     cs = v.components
-    upper = {(i, j): _truncated_best_path(cs[i], cs[j], N, s, t, v.phase)
+    upper = {(i, j): _truncated_pair(cs[i], cs[j], N, s, t)
              for i, j in combinations(range(d), 2)}
     return RoughIncrement(s=s, t=t, first=first, second=_geometric_second(first, upper))
 

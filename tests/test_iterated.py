@@ -21,7 +21,14 @@ from weierpath import (
     iterated_integral_truncated,
     validate_component,
 )
-from weierpath.iterated import geometric_tail_bound, iterated_grid_prefix, iterated_pairs
+from weierpath.iterated import (
+    DEFAULT_LIMIT_CAP,
+    _calibrate_tail_constant,
+    _truncated_pair,
+    geometric_tail_bound,
+    iterated_grid_prefix,
+    iterated_pairs,
+)
 from weierpath.phase import TrigTable, cos_pi, phase_mod2
 from weierpath.quadrature import integrate
 
@@ -275,6 +282,47 @@ class TestIteratedLimit:
         b8 = geometric_tail_bound(comp_b2, comp_b3, 8, 0.1, 4.0)
         b16 = geometric_tail_bound(comp_b2, comp_b3, 16, 0.1, 4.0)
         assert 0 < b16 < b8
+
+
+# A posteriori audit of the empirical tail bound: the level-N value moves by
+# at most the reported bound when 15 more modes per component are added.
+_AUDIT_DEPTH = 15
+
+
+@st.composite
+def _audit_cases(draw):
+    phase = draw(st.sampled_from(["cos", "sin"]))
+    comps = [validate_component(draw(st.integers(2, 9)), alpha=draw(st.floats(0.35, 0.95)),
+                                phase=phase) for _ in range(2)]
+    eps_prime = draw(st.floats(0.05, 0.7)) * min(c.alpha for c in comps)
+    tol = 10.0 ** -draw(st.floats(3.0, 10.0))
+    den = draw(st.integers(1, 1 << 22))
+    s, t = sorted(Fraction(draw(st.integers(0, den)), den) for _ in range(2))
+    return comps, s, t, tol, eps_prime
+
+
+def _audit_gap(c1, c2, s, t, res):
+    deeper = _truncated_pair(c1, c2, res.n_used + _AUDIT_DEPTH, s, t)
+    return abs(res.value - deeper)
+
+
+class TestTailAudit:
+    @given(case=_audit_cases())
+    def test_deeper_level_within_reported_bound(self, case):
+        (c1, c2), s, t, tol, eps_prime = case
+        try:
+            res = iterated_integral_limit(c1, c2, s, t, tol=tol, eps_prime=eps_prime)
+        except ToleranceUnreachable:
+            assume(False)
+        assert _audit_gap(c1, c2, s, t, res) <= res.tail_bound
+
+    def test_level_at_the_cap(self, comp_b2, comp_b3):
+        s, t = Fraction(123457, 1048573), Fraction(900001, 1048573)
+        constant = _calibrate_tail_constant(comp_b2, comp_b3, s, t, 0.3, Phase.COSINE)
+        tol = geometric_tail_bound(comp_b2, comp_b3, DEFAULT_LIMIT_CAP, 0.3, constant)
+        res = iterated_integral_limit(comp_b2, comp_b3, s, t, tol=tol, eps_prime=0.3)
+        assert res.n_used == DEFAULT_LIMIT_CAP
+        assert _audit_gap(comp_b2, comp_b3, s, t, res) <= res.tail_bound
 
 
 class TestGridPaths:

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from weierpath import (
     ParameterError,
@@ -21,12 +21,11 @@ from weierpath import (
     validate_component,
 )
 from weierpath.iterated import (
-    _MAX_TABLE_DEN_FOR_PAIRS,
     iterated_grid_prefix,
     iterated_integral_truncated,
     iterated_pairs,
 )
-from weierpath.phase import TrigTable
+from weierpath.phase import _MAX_TABLE_DEN, TrigTable
 from weierpath.rde import _lift_table
 from weierpath.roughpath import _level_tables, _resolve_level
 from weierpath.weierstrass import eval_truncated_grid, eval_vector
@@ -139,10 +138,10 @@ class TestGeometricSecondLevel:
         assert np.abs(fixed.second - want).max() <= 1e-12
 
     @given(v=_drivers, N=st.integers(0, 6),
-           st_pair=_intervals(_MAX_TABLE_DEN_FOR_PAIRS + 1, 4 * _MAX_TABLE_DEN_FOR_PAIRS))
+           st_pair=_intervals(_MAX_TABLE_DEN + 1, 4 * _MAX_TABLE_DEN))
     def test_lift_truncated_scalar_path(self, v, N, st_pair):
         s, t = st_pair
-        assume(math.lcm(s.denominator, t.denominator) > _MAX_TABLE_DEN_FOR_PAIRS)
+        assume(math.lcm(s.denominator, t.denominator) > _MAX_TABLE_DEN)
         inc = lift_truncated(v, N, s, t)
         want = _all_entries(v, lambda ci, cj: iterated_integral_truncated(ci, cj, N, s, t))
         assert np.abs(inc.second - want).max() <= 1e-12
@@ -169,6 +168,29 @@ class TestGeometricSecondLevel:
                 want = iterated_grid_prefix(ci, cj, table, idx, levels)
                 for N in levels:
                     assert np.abs(Q[N][:, i, j] - want[N]).max() <= 1e-12
+
+    # F(t) - F(s) telescopes, so the Chen relation holds for any mode-pair
+    # coefficients; these two compare the kernel with the per-pair fsum sum.
+    @given(v=_drivers, N=st.integers(0, 12), den=st.integers(1, 1024), data=st.data())
+    def test_pairs_on_arbitrary_intervals(self, v, N, den, data):
+        d = v.d
+        i, j = data.draw(st.tuples(st.integers(0, d - 1), st.integers(0, d - 1)))
+        ends = data.draw(st.lists(_intervals(den, den), min_size=1, max_size=4))
+        ci, cj = v.components[i], v.components[j]
+        s_idx = np.array([s.numerator * (den // s.denominator) for s, _ in ends])
+        t_idx = np.array([t.numerator * (den // t.denominator) for _, t in ends])
+        got = iterated_pairs(ci, cj, N, TrigTable(den), s_idx, t_idx)
+        want = [iterated_integral_truncated(ci, cj, N, s, t) for s, t in ends]
+        assert np.abs(got - want).max() <= 1e-12
+
+    @settings(max_examples=20)
+    @given(v=_drivers, N=st.sampled_from([0, 1, 12, 40]),
+           st_pair=st.one_of(_intervals(1, 1024), _intervals(_MAX_TABLE_DEN + 1, 4 * _MAX_TABLE_DEN)))
+    def test_lift_truncated_deep_levels(self, v, N, st_pair):
+        s, t = st_pair
+        inc = lift_truncated(v, N, s, t)
+        want = _all_entries(v, lambda ci, cj: iterated_integral_truncated(ci, cj, N, s, t))
+        assert np.abs(inc.second - want).max() <= 1e-12
 
     def test_upper_entries_keep_their_bits(self, figure_pair):
         s, t = Fraction(3, 40), Fraction(31, 40)
