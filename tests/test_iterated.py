@@ -316,6 +316,17 @@ class TestTailAudit:
             assume(False)
         assert _audit_gap(c1, c2, s, t, res) <= res.tail_bound
 
+    @given(case=_audit_cases())
+    def test_calibration_matches_per_pair_reference(self, case):
+        (c1, c2), s, t, _, eps_prime = case
+        want = 2.0 * max(
+            abs(elementary_integral(FrequencyPair(c1.b, c2.b, n, ell), s, t, c1.phase))
+            * c1.b ** (-eps_prime * n) * c2.b ** (-eps_prime * ell)
+            for n in range(21) for ell in range(21)
+        )
+        got = _calibrate_tail_constant(c1, c2, s, t, eps_prime, c1.phase)
+        assert abs(got - want) <= 1e-12
+
     def test_level_at_the_cap(self, comp_b2, comp_b3):
         s, t = Fraction(123457, 1048573), Fraction(900001, 1048573)
         constant = _calibrate_tail_constant(comp_b2, comp_b3, s, t, 0.3, Phase.COSINE)
