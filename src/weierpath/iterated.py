@@ -286,7 +286,7 @@ def geometric_tail_bound(c1: WeierstrassComponent, c2: WeierstrassComponent,
 
 def _calibrate_tail_constant(c1: WeierstrassComponent, c2: WeierstrassComponent,
                              s: Fraction, t: Fraction, eps_prime: float,
-                             phase: Phase, pilot: int = 20) -> float:
+                             pilot: int = 20) -> float:
     """Empirical constant for the mode bound |J| <= C b1^(e'n) b2^(e'ell).
 
     Twice the largest damped elementary integral over the pilot grid, with
@@ -310,7 +310,7 @@ def _tail_level(c1: WeierstrassComponent, c2: WeierstrassComponent, s: Fraction,
 
     Raises ToleranceUnreachable (carrying the bound at the cap) otherwise.
     """
-    constant = _calibrate_tail_constant(c1, c2, s, t, eps_prime, _require_same_phase(c1, c2))
+    constant = _calibrate_tail_constant(c1, c2, s, t, eps_prime)
     for N in range(cap + 1):
         bound = geometric_tail_bound(c1, c2, N, eps_prime, constant)
         if bound <= tol:

@@ -249,21 +249,17 @@ class TestIteratedLimit:
 
     def test_half_interval_against_deep_closed_form(self, comp_b2, comp_b3):
         # N = 40 itself carries a certified tail, so the comparison allows it
-        from weierpath.iterated import _calibrate_tail_constant
-
         s, t = Fraction(0), Fraction(1, 2)
         res = iterated_integral_limit(comp_b2, comp_b3, s, t, tol=1e-6, eps_prime=0.1)
         deep = iterated_integral_truncated(comp_b2, comp_b3, 40, s, t)
-        c40 = _calibrate_tail_constant(comp_b2, comp_b3, s, t, 0.1, Phase.COSINE)
+        c40 = _calibrate_tail_constant(comp_b2, comp_b3, s, t, 0.1)
         allowance = geometric_tail_bound(comp_b2, comp_b3, 40, 0.1, c40)
         assert abs(res.value - deep) <= 1e-6 + allowance
 
     def test_level_is_the_smallest_within_tolerance(self, comp_b2, comp_b3):
-        from weierpath.iterated import _calibrate_tail_constant
-
         s, t = Fraction(0), Fraction(1, 2)
         res = iterated_integral_limit(comp_b2, comp_b3, s, t, tol=1e-6, eps_prime=0.1)
-        c = _calibrate_tail_constant(comp_b2, comp_b3, s, t, 0.1, Phase.COSINE)
+        c = _calibrate_tail_constant(comp_b2, comp_b3, s, t, 0.1)
         assert res.tail_bound == geometric_tail_bound(comp_b2, comp_b3, res.n_used, 0.1, c)
         assert res.tail_bound <= 1e-6
         assert geometric_tail_bound(comp_b2, comp_b3, res.n_used - 1, 0.1, c) > 1e-6
@@ -324,12 +320,12 @@ class TestTailAudit:
             * c1.b ** (-eps_prime * n) * c2.b ** (-eps_prime * ell)
             for n in range(21) for ell in range(21)
         )
-        got = _calibrate_tail_constant(c1, c2, s, t, eps_prime, c1.phase)
+        got = _calibrate_tail_constant(c1, c2, s, t, eps_prime)
         assert abs(got - want) <= 1e-12
 
     def test_level_at_the_cap(self, comp_b2, comp_b3):
         s, t = Fraction(123457, 1048573), Fraction(900001, 1048573)
-        constant = _calibrate_tail_constant(comp_b2, comp_b3, s, t, 0.3, Phase.COSINE)
+        constant = _calibrate_tail_constant(comp_b2, comp_b3, s, t, 0.3)
         tol = geometric_tail_bound(comp_b2, comp_b3, DEFAULT_LIMIT_CAP, 0.3, constant)
         res = iterated_integral_limit(comp_b2, comp_b3, s, t, tol=tol, eps_prime=0.3)
         assert res.n_used == DEFAULT_LIMIT_CAP
