@@ -39,6 +39,8 @@ GOLDEN = (
                          "--points", "33"]),
     ("rde_ode_propagator.csv", ["rde", "--figure-params", "--N", "4", "--step", "1/4096",
                                 "--points", "33"]),
+    ("rde_ode_one_segment.csv", ["rde", "--figure-params", "--N", "4", "--step", "1/16384",
+                                 "--points", "3"]),
 )
 
 
