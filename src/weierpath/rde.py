@@ -1,6 +1,7 @@
 """Differential equations driven by truncated Weierstrass sums and their lifts.
 
-Two solvers for dY = M(Y) dW on [0, t_end]:
+Two solvers for dY = M(Y) dW on [0, t_end], for fields linear in the state,
+M(Y) = [T_1 Y | ... | T_d Y], so that every step is a d x d matrix acting on Y:
 
 * solve_ode_truncated: the driver is the smooth level-N truncation, so the
   equation is a classical ODE Y' = M(Y) W_N'(t); a fixed-step fourth-order
@@ -8,20 +9,19 @@ Two solvers for dY = M(Y) dW on [0, t_end]:
   half-grid so driver phases never degrade.  The default step resolves the
   fastest driver mode b^N pi (explicit schemes must resolve the driver).
 
-* solve_rough: one explicit second-order rough step per interval,
+* solve_rough: one explicit second-order (Davie) rough step per interval,
 
       Y += sigma_j(Y) X^j + (D sigma_j sigma_i)(Y) A^(i,j),
 
-  consuming both levels of the lift increment over each step.  Increments
-  come from a uniform-grid lift table (_lift_table): grid-value differences,
-  the bilinear mode-pair kernel (iterated_pairs) between consecutive grid
+  that is Y <- (I + sum_j X^j T_j + sum_ij A^(i,j) T_j T_i) Y, consuming
+  both levels of the lift increment over each step.  Increments come from a
+  uniform-grid lift table (_lift_table): grid-value differences, the
+  bilinear mode-pair kernel (iterated_pairs) between consecutive grid
   points for the entries i < j, and the other entries from the first level
   (roughpath._geometric_second).
 
-Linear-in-state fields admit a vectorized RK4 propagator (each step is a
-d x d matrix acting on Y, built from batched stage matrices and reduced in
-fixed pairwise order); the plain stepping loop remains the reference path
-and the two agree to roundoff.
+Both share one propagator (_propagate): step matrices are built in blocks of
+whole output segments and each segment is reduced in fixed pairwise order.
 """
 
 from __future__ import annotations
@@ -63,11 +63,10 @@ __all__ = [
 class LinearStateField:
     """Field M(Y) linear in Y: M(Y)[p, j] = sum_q tensor[p, j, q] Y_q.
 
-    Column j of M(Y) is the vector field multiplying dW^j; its Jacobian in
-    Y is the constant matrix tensor[:, j, :].
+    Column j of M(Y) is the vector field multiplying dW^j; it is T_j Y with
+    the constant matrix T_j = tensor[:, j, :], which is also its Jacobian.
+    Both solvers accept only fields of this class.
     """
-
-    is_linear = True
 
     def __init__(self, tensor: np.ndarray):
         tensor = np.asarray(tensor, dtype=np.float64)
@@ -82,10 +81,6 @@ class LinearStateField:
 
     def matrix(self, y: np.ndarray) -> np.ndarray:
         return self.tensor @ np.asarray(y, dtype=np.float64)
-
-    def jacobian(self, y: np.ndarray) -> np.ndarray:
-        # jac[j] = D sigma_j, constant for linear fields
-        return np.transpose(self.tensor, (1, 0, 2))
 
     def state_matrix(self, wprime: np.ndarray) -> np.ndarray:
         """G with Y' = G Y for driver derivative values wprime (d,) or (n, d)."""
@@ -120,20 +115,24 @@ class ZeroField(LinearStateField):
 class RdeProblem:
     """Equation dY = M(Y) dW: field, driving vector function, start state."""
 
-    field: object
+    field: LinearStateField
     driver: VectorWeierstrass
     y0: np.ndarray
     t_end: Fraction = Fraction(1)
     step: Optional[Fraction] = None
 
     def __post_init__(self):
+        if not isinstance(self.field, LinearStateField):
+            raise ParameterError(
+                f"field must be a LinearStateField, got {type(self.field).__name__}"
+            )
         y0 = np.asarray(self.y0, dtype=np.float64)
         if y0.ndim != 1 or not np.all(np.isfinite(y0)):
             raise ParameterError("y0 must be a finite vector")
         d = self.driver.d
-        if getattr(self.field, "d", d) != d or y0.shape[0] != d:
+        if self.field.d != d or y0.shape[0] != d:
             raise ParameterError(
-                f"dimensions disagree: driver d={d}, field d={getattr(self.field, 'd', '?')}, "
+                f"dimensions disagree: driver d={d}, field d={self.field.d}, "
                 f"y0 length {y0.shape[0]}"
             )
         t_end = unit_time(self.t_end)
@@ -254,19 +253,52 @@ def _stage_matrices(problem: RdeProblem, N: int, seg_start: Fraction, h: Fractio
 
 
 def _ordered_product(mats: np.ndarray) -> np.ndarray:
-    """Product mats[-1] @ ... @ mats[0] by pairwise reduction (fixed topology)."""
-    while mats.shape[0] > 1:
-        n = mats.shape[0]
+    """Product mats[..., -1, :, :] @ ... @ mats[..., 0, :, :] over axis -3.
+
+    Pairwise reduction in a fixed topology; leading axes are batched.
+    """
+    while mats.shape[-3] > 1:
+        n = mats.shape[-3]
         half = n // 2
-        paired = mats[1 : 2 * half : 2] @ mats[0 : 2 * half : 2]
+        paired = mats[..., 1 : 2 * half : 2, :, :] @ mats[..., 0 : 2 * half : 2, :, :]
         if n % 2:
-            mats = np.concatenate([paired, mats[-1:]], axis=0)
+            mats = np.concatenate([paired, mats[..., -1:, :, :]], axis=-3)
         else:
             mats = paired
-    return mats[0]
+    return mats[..., 0, :, :]
 
 
-_PROPAGATOR_MIN_STEPS = 4096
+_STEP_BLOCK = 8192
+
+
+def _propagate(problem: RdeProblem, K: int, stride: int, step_matrices) -> PathSample:
+    """Apply K step matrices to y0 and sample Y after every stride steps.
+
+    step_matrices(k, n) returns the (n, d, d) matrices of steps k .. k+n-1.
+    They are requested in blocks of at most _STEP_BLOCK steps: whole output
+    segments when stride <= _STEP_BLOCK, else consecutive pieces of one
+    segment.  Each segment (or piece) is reduced by _ordered_product.
+    """
+    d = problem.driver.d
+    h = problem.t_end / K
+    y = problem.y0.copy()
+    values = [y]
+    k = 0
+    while k < K:
+        if stride <= _STEP_BLOCK:
+            span = stride
+            n = min(_STEP_BLOCK // stride * stride, K - k)
+        else:
+            span = n = min(_STEP_BLOCK, stride - k % stride)
+        for prop in _ordered_product(step_matrices(k, n).reshape(n // span, span, d, d)):
+            y = prop @ y
+            k += span
+            if k % stride == 0:
+                values.append(y)
+    return PathSample(
+        times=np.array([float(h * (stride * m)) for m in range(len(values))]),
+        values=np.vstack(values),
+    )
 
 
 def solve_ode_truncated(problem: RdeProblem, N: int, *, output_points: int = 1025,
@@ -275,7 +307,8 @@ def solve_ode_truncated(problem: RdeProblem, N: int, *, output_points: int = 102
 
     The step (problem.step or the resolving default) is validated against
     the fastest driver mode and spot-checked by step halving; violations
-    raise with a prescribed smaller step.
+    raise with a prescribed smaller step.  Steps are the RK4 matrices of
+    _stage_matrices, applied by the shared propagator (_propagate).
     """
     if output_points < 2:
         raise ParameterError("output_points must be >= 2")
@@ -284,39 +317,8 @@ def solve_ode_truncated(problem: RdeProblem, N: int, *, output_points: int = 102
     _local_error_check(problem, N, step, local_error_tol)
     K, stride = _grid_layout(problem.t_end, step, output_points)
     h = problem.t_end / K
-    d = problem.driver.d
-
-    use_propagator = getattr(problem.field, "is_linear", False) and K >= _PROPAGATOR_MIN_STEPS
-    out_times = [Fraction(0)]
-    out_values = [problem.y0.copy()]
-    y = problem.y0.copy()
-    if use_propagator:
-        for seg in range(K // stride):
-            seg_start = h * (seg * stride)
-            mats = _stage_matrices(problem, N, seg_start, h, stride)
-            y = _ordered_product(mats) @ y
-            out_times.append(h * ((seg + 1) * stride))
-            out_values.append(y)
-    else:
-        nodes = AffineNodes(Fraction(0), h / 2, 2 * K + 1)
-        wp = np.stack(
-            [eval_derivative_affine(c, N, nodes) for c in problem.driver.components], axis=1
-        )
-        hf = float(h)
-        for k in range(K):
-            g1, g2, g3 = wp[2 * k], wp[2 * k + 1], wp[2 * k + 2]
-            k1 = problem.field.matrix(y) @ g1
-            k2 = problem.field.matrix(y + (hf / 2) * k1) @ g2
-            k3 = problem.field.matrix(y + (hf / 2) * k2) @ g2
-            k4 = problem.field.matrix(y + hf * k3) @ g3
-            y = y + (hf / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if (k + 1) % stride == 0:
-                out_times.append(h * (k + 1))
-                out_values.append(y)
-    return PathSample(
-        times=np.array([float(t) for t in out_times]),
-        values=np.vstack(out_values),
-    )
+    return _propagate(problem, K, stride,
+                      lambda k, n: _stage_matrices(problem, N, h * k, h, n))
 
 
 def _lift_table(driver: VectorWeierstrass, N: int, h: Fraction, K: int):
@@ -348,7 +350,10 @@ def solve_rough(problem: RdeProblem, truncation, step=None, *,
 
     ``truncation`` is a level N or a TruncationPolicy; tolerance policies
     resolve to a truncation deep enough that the lift tail is below the
-    requested tolerance (components must then have alpha > 1/3).
+    requested tolerance (components must then have alpha > 1/3).  Step k
+    is the matrix I + sum_j X_k^j T_j + sum_ij A_k^(i,j) T_j T_i of the
+    lift increment (X_k, A_k) over it, applied by the shared propagator
+    (_propagate).
     """
     if output_points < 2:
         raise ParameterError("output_points must be >= 2")
@@ -359,30 +364,18 @@ def solve_rough(problem: RdeProblem, truncation, step=None, *,
     if not (0 < step <= problem.t_end):
         raise ParameterError("step must satisfy 0 < step <= t_end")
     K, stride = _grid_layout(problem.t_end, step, output_points)
-    h = problem.t_end / K
-    first, second = _lift_table(problem.driver, N, h, K)
+    first, second = _lift_table(problem.driver, N, problem.t_end / K, K)
 
-    d = problem.driver.d
-    y = problem.y0.copy()
-    out_times = [Fraction(0)]
-    out_values = [y.copy()]
-    for k in range(K):
-        m = problem.field.matrix(y)  # columns sigma_j(y)
-        jac = problem.field.jacobian(y)  # jac[j] = D sigma_j
-        dy = m @ first[k]
-        a = second[k]
-        for i in range(d):
-            sig_i = m[:, i]
-            for j in range(d):
-                dy = dy + a[i, j] * (jac[j] @ sig_i)
-        y = y + dy
-        if (k + 1) % stride == 0:
-            out_times.append(h * (k + 1))
-            out_values.append(y.copy())
-    return PathSample(
-        times=np.array([float(t) for t in out_times]),
-        values=np.vstack(out_values),
-    )
+    field = problem.field
+    tj = np.transpose(field.tensor, (1, 0, 2))  # tj[j] = T_j
+    tt = np.einsum("jpr,irq->ijpq", tj, tj)  # tt[i, j] = T_j T_i
+    eye = np.eye(field.d)
+
+    def step_matrices(k: int, n: int) -> np.ndarray:
+        area = np.tensordot(second[k : k + n], tt, axes=([1, 2], [0, 1]))
+        return eye + field.state_matrix(first[k : k + n]) + area
+
+    return _propagate(problem, K, stride, step_matrices)
 
 
 def approximation_gap(problem: RdeProblem, Ns: Sequence[int], *,

@@ -35,6 +35,9 @@ GOLDEN = (
                           "--step", "1/1024", "--points", "33"]),
     ("rde_rough_tol.csv", ["rde", "--figure-params", "--tol", "1e-6", "--rough",
                            "--step", "1/1024", "--points", "33"]),
+    # the ODE through the step-matrix propagator: output strides 32 and 128
+    # (one block of many segments), and 8192, the one-segment-per-block
+    # layout of the figure-3 solve
     ("rde_ode_rk4.csv", ["rde", "--figure-params", "--N", "4", "--step", "1/1024",
                          "--points", "33"]),
     ("rde_ode_propagator.csv", ["rde", "--figure-params", "--N", "4", "--step", "1/4096",

@@ -15,7 +15,9 @@ from weierpath import (
     ZeroField,
     approximation_gap,
     default_ode_step,
+    eval_derivative,
     eval_truncated,
+    lift_truncated,
     solve_ode_truncated,
     solve_rough,
     validate_component,
@@ -26,6 +28,40 @@ import weierpath.rde as rde_mod
 @pytest.fixture(scope="module")
 def fig_problem(figure_pair):
     return RdeProblem(BilinearField(), figure_pair, np.array([1.0, 0.0]))
+
+
+def _rk4_reference(problem, N, K):
+    """Y after each of K plain RK4 steps, with W_N' by math.fsum at Fraction times."""
+    h = problem.t_end / K
+    wprime = {}
+
+    def f(t, y):
+        if t not in wprime:
+            wprime[t] = np.array([eval_derivative(c, N, t) for c in problem.driver.components])
+        return problem.field.matrix(y) @ wprime[t]
+
+    ys = [problem.y0.copy()]
+    for k in range(K):
+        ys.append(rde_mod._rk4_step(f, h * k, ys[-1], h))
+    return np.array(ys)
+
+
+def _rough_reference(problem, N, K):
+    """Y after each of K rough steps Y += sigma_j X^j + (D sigma_j sigma_i) A^(i,j)."""
+    h = problem.t_end / K
+    d = problem.driver.d
+    jac = [problem.field.tensor[:, j, :] for j in range(d)]  # D sigma_j
+    ys = [problem.y0.copy()]
+    for k in range(K):
+        inc = lift_truncated(problem.driver, N, h * k, h * (k + 1))
+        y = ys[-1]
+        m = problem.field.matrix(y)  # columns sigma_j(y)
+        dy = m @ inc.first
+        for i in range(d):
+            for j in range(d):
+                dy = dy + inc.second[i, j] * (jac[j] @ m[:, i])
+        ys.append(y + dy)
+    return np.array(ys)
 
 
 class TestProblemValidation:
@@ -41,6 +77,11 @@ class TestProblemValidation:
         with pytest.raises(ParameterError):
             RdeProblem(BilinearField(), figure_pair, np.array([1.0, 0.0]), t_end=Fraction(0))
 
+    @pytest.mark.parametrize("field", [None, "bilinear", np.zeros((2, 2, 2))])
+    def test_field_must_be_linear_state_field(self, figure_pair, field):
+        with pytest.raises(ParameterError, match="LinearStateField"):
+            RdeProblem(field, figure_pair, np.array([1.0, 0.0]))
+
     def test_path_sample_invariants(self):
         with pytest.raises(ParameterError, match="increase"):
             PathSample(np.array([0.0, 0.5, 0.5]), np.zeros((3, 2)))
@@ -54,11 +95,18 @@ class TestBilinearField:
         m = f.matrix(np.array([2.0, 3.0]))
         assert np.array_equal(m, np.array([[0.0, 1.0], [1.0, 0.0]]))
 
-    def test_jacobians_constant(self):
-        f = BilinearField()
-        jac = f.jacobian(np.array([5.0, -1.0]))
-        assert np.array_equal(jac[0], np.array([[0.0, 0.0], [0.5, 0.0]]))
-        assert np.array_equal(jac[1], np.array([[0.0, 1 / 3], [0.0, 0.0]]))
+    def test_rough_step_matrix(self, figure_pair, monkeypatch):
+        # T_1 = [[0, 0], [1/2, 0]], T_2 = [[0, 1/3], [0, 0]], so T_1 T_1 = T_2 T_2 = 0,
+        # T_2 T_1 = diag(1/6, 0), T_1 T_2 = diag(0, 1/6), and one rough step is
+        # I + X^1 T_1 + X^2 T_2 + A^(1,2) T_2 T_1 + A^(2,1) T_1 T_2
+        x = np.array([0.5, 0.25])
+        a = np.array([[0.125, 0.75], [-0.5, 0.0625]])
+        monkeypatch.setattr(rde_mod, "_lift_table", lambda *args: (x[None], a[None]))
+        want = np.array([[1 + 0.75 / 6, 0.25 / 3], [0.5 / 2, 1 - 0.5 / 6]])
+        for col in range(2):
+            p = RdeProblem(BilinearField(), figure_pair, np.eye(2)[col])
+            path = solve_rough(p, 4, step=Fraction(1), output_points=2)
+            assert np.allclose(path.values[1], want[:, col], rtol=0, atol=1e-15)
 
 
 class TestOdeSolver:
@@ -105,16 +153,24 @@ class TestOdeSolver:
             solve_ode_truncated(p, 8)
 
     def test_propagator_matches_plain_loop(self, fig_problem):
-        p = RdeProblem(BilinearField(), fig_problem.driver, fig_problem.y0,
-                       step=Fraction(1, 2**13))
-        fast = solve_ode_truncated(p, 3, output_points=65)
-        old = rde_mod._PROPAGATOR_MIN_STEPS
-        rde_mod._PROPAGATOR_MIN_STEPS = 10**9
-        try:
-            slow = solve_ode_truncated(p, 3, output_points=65)
-        finally:
-            rde_mod._PROPAGATOR_MIN_STEPS = old
-        assert np.max(np.abs(fast.values - slow.values)) <= 1e-12
+        # (N, K, output point counts): stride 1; stride 64; strides 4096 (one
+        # full step block and one partial) and 12288 (one segment in two pieces)
+        for N, K, counts in ((2, 64, (65,)), (3, 512, (9,)), (1, 12288, (4, 2))):
+            p = RdeProblem(BilinearField(), fig_problem.driver, fig_problem.y0,
+                           step=Fraction(1, K))
+            ref = _rk4_reference(p, N, K)
+            for points in counts:
+                path = solve_ode_truncated(p, N, output_points=points)
+                assert np.max(np.abs(path.values - ref[:: K // (points - 1)])) <= 1e-12
+
+    def test_prefix_of_longer_solve(self, fig_problem):
+        step = Fraction(1, 1024)
+        full = solve_ode_truncated(RdeProblem(BilinearField(), fig_problem.driver,
+                                              fig_problem.y0, step=step), 4, output_points=33)
+        part = solve_ode_truncated(RdeProblem(BilinearField(), fig_problem.driver, fig_problem.y0,
+                                              t_end=Fraction(3, 4), step=step), 4, output_points=25)
+        assert np.array_equal(part.times, full.times[:25])
+        assert np.max(np.abs(part.values - full.values[:25])) <= 1e-12
 
     def test_default_step_resolves_fastest_mode(self, figure_pair):
         for N in (4, 8, 12):
@@ -182,6 +238,24 @@ class TestRoughSolver:
         # regression baseline computed by this implementation (not external truth)
         endpoint = paths[13].values[-1]
         assert endpoint == pytest.approx([3.381153206554035, 0.7303091898054921], rel=1e-6)
+
+    @pytest.mark.parametrize("t_end,K,points", [
+        (Fraction(1), 64, 9),  # table-sized step denominator
+        (Fraction(1000003, 1048583), 16, 5),  # step denominator above 2^20: scalar lifts
+    ])
+    def test_propagator_matches_step_loop(self, fig_problem, t_end, K, points):
+        p = RdeProblem(BilinearField(), fig_problem.driver, fig_problem.y0, t_end=t_end)
+        path = solve_rough(p, 5, step=t_end / K, output_points=points)
+        ref = _rough_reference(p, 5, K)
+        assert np.max(np.abs(path.values - ref[:: K // (points - 1)])) <= 1e-12
+
+    def test_prefix_of_longer_solve(self, fig_problem):
+        step = Fraction(1, 256)
+        full = solve_rough(fig_problem, 5, step=step, output_points=33)
+        part = solve_rough(RdeProblem(BilinearField(), fig_problem.driver, fig_problem.y0,
+                                      t_end=Fraction(3, 4)), 5, step=step, output_points=25)
+        assert np.array_equal(part.times, full.times[:25])
+        assert np.max(np.abs(part.values - full.values[:25])) <= 1e-12
 
     def test_lift_table_matches_direct_lift(self, fig_problem):
         # both sides derive their diagonal and lower entries from level 1, so
