@@ -290,7 +290,10 @@ def _propagate(problem: RdeProblem, K: int, stride: int, step_matrices) -> PathS
             n = min(_STEP_BLOCK // stride * stride, K - k)
         else:
             span = n = min(_STEP_BLOCK, stride - k % stride)
-        for prop in _ordered_product(step_matrices(k, n).reshape(n // span, span, d, d)):
+        # the previous block stays referenced while the next is built: freed
+        # first, its pages were trimmed and faulted in again for every block
+        mats = step_matrices(k, n)
+        for prop in _ordered_product(mats.reshape(n // span, span, d, d)):
             y = prop @ y
             k += span
             if k % stride == 0:
