@@ -22,6 +22,8 @@ M(Y) = [T_1 Y | ... | T_d Y], so that every step is a d x d matrix acting on Y:
 
 Both share one propagator (_propagate): step matrices are built in blocks of
 whole output segments and each segment is reduced in fixed pairwise order.
+n step matrices are (d, d, n) entry planes, batch axis last, and each product
+of step matrices is the entrywise sum_r a[:, r] b[r, :] (_plane_product).
 """
 
 from __future__ import annotations
@@ -83,8 +85,12 @@ class LinearStateField:
         return self.tensor @ np.asarray(y, dtype=np.float64)
 
     def state_matrix(self, wprime: np.ndarray) -> np.ndarray:
-        """G with Y' = G Y for driver derivative values wprime (d,) or (n, d)."""
-        return np.tensordot(np.asarray(wprime, dtype=np.float64), self.tensor, axes=([-1], [1]))
+        """G[p, q] = sum_j tensor[p, j, q] wprime[j], so that Y' = G Y.
+
+        wprime (d,) gives a (d, d) matrix; wprime (d, n) gives (d, d, n) entry
+        planes G[p, q, k], batch axis last and contiguous.
+        """
+        return np.tensordot(self.tensor, np.asarray(wprime, dtype=np.float64), axes=([1], [0]))
 
 
 class BilinearField(LinearStateField):
@@ -231,41 +237,45 @@ def _local_error_check(problem: RdeProblem, N: int, h: Fraction, tol: float) -> 
         t = t + h
 
 
+def _plane_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Matrix products of entry planes: out[p, q, ...] = sum_r a[p, r, ...] b[r, q, ...]."""
+    out = a[:, 0, None] * b[None, 0]
+    for r in range(1, a.shape[1]):
+        out += a[:, r, None] * b[None, r]
+    return out
+
+
 def _stage_matrices(problem: RdeProblem, N: int, seg_start: Fraction, h: Fraction,
                     steps: int) -> np.ndarray:
-    """RK4 propagator matrices for `steps` consecutive steps from seg_start."""
+    """RK4 propagator matrices of `steps` consecutive steps from seg_start, (d, d, steps)."""
     nodes = AffineNodes(seg_start, h / 2, 2 * steps + 1)
-    wp = np.stack(
-        [eval_derivative_affine(c, N, nodes) for c in problem.driver.components], axis=1
-    )
-    g = problem.field.state_matrix(wp)  # (2*steps+1, d, d)
-    g1 = g[0:-1:2]
-    g2 = g[1::2]
-    g3 = g[2::2]
+    wp = np.stack([eval_derivative_affine(c, N, nodes) for c in problem.driver.components])
+    # one (d, d, 2*steps+1) array for all nodes: built as two halves, the
+    # smaller temporaries let glibc trim and fault in the heap top every block
+    g = problem.field.state_matrix(wp)
+    g1, g2, g3 = g[..., 0:-1:2], g[..., 1::2], g[..., 2::2]
     hf = float(h)
-    d = problem.driver.d
-    eye = np.eye(d)
     k1 = g1
-    k2 = g2 + (hf / 2.0) * (g2 @ k1)
-    k3 = g2 + (hf / 2.0) * (g2 @ k2)
-    k4 = g3 + hf * (g3 @ k3)
-    return eye + (hf / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    k2 = g2 + (hf / 2.0) * _plane_product(g2, k1)
+    k3 = g2 + (hf / 2.0) * _plane_product(g2, k2)
+    k4 = g3 + hf * _plane_product(g3, k3)
+    out = (hf / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    diag = np.arange(problem.driver.d)
+    out[diag, diag] += 1.0
+    return out
 
 
 def _ordered_product(mats: np.ndarray) -> np.ndarray:
-    """Product mats[..., -1, :, :] @ ... @ mats[..., 0, :, :] over axis -3.
+    """Product mats[..., n-1] ... mats[..., 0] of entry planes over the last axis.
 
-    Pairwise reduction in a fixed topology; leading axes are batched.
+    Pairwise reduction in a fixed topology; axes between the two matrix
+    axes and the last are batched.
     """
-    while mats.shape[-3] > 1:
-        n = mats.shape[-3]
-        half = n // 2
-        paired = mats[..., 1 : 2 * half : 2, :, :] @ mats[..., 0 : 2 * half : 2, :, :]
-        if n % 2:
-            mats = np.concatenate([paired, mats[..., -1:, :, :]], axis=-3)
-        else:
-            mats = paired
-    return mats[..., 0, :, :]
+    while mats.shape[-1] > 1:
+        n = mats.shape[-1]
+        paired = _plane_product(mats[..., 1 : n - n % 2 : 2], mats[..., 0 : n - n % 2 : 2])
+        mats = np.concatenate([paired, mats[..., -1:]], axis=-1) if n % 2 else paired
+    return mats[..., 0]
 
 
 _STEP_BLOCK = 8192
@@ -274,7 +284,7 @@ _STEP_BLOCK = 8192
 def _propagate(problem: RdeProblem, K: int, stride: int, step_matrices) -> PathSample:
     """Apply K step matrices to y0 and sample Y after every stride steps.
 
-    step_matrices(k, n) returns the (n, d, d) matrices of steps k .. k+n-1.
+    step_matrices(k, n) returns the (d, d, n) entry planes of steps k .. k+n-1.
     They are requested in blocks of at most _STEP_BLOCK steps: whole output
     segments when stride <= _STEP_BLOCK, else consecutive pieces of one
     segment.  Each segment (or piece) is reduced by _ordered_product.
@@ -293,8 +303,9 @@ def _propagate(problem: RdeProblem, K: int, stride: int, step_matrices) -> PathS
         # the previous block stays referenced while the next is built: freed
         # first, its pages were trimmed and faulted in again for every block
         mats = step_matrices(k, n)
-        for prop in _ordered_product(mats.reshape(n // span, span, d, d)):
-            y = prop @ y
+        props = _ordered_product(mats.reshape(d, d, n // span, span))
+        for m in range(n // span):
+            y = props[..., m] @ y
             k += span
             if k % stride == 0:
                 values.append(y)
@@ -369,14 +380,16 @@ def solve_rough(problem: RdeProblem, truncation, step=None, *,
     K, stride = _grid_layout(problem.t_end, step, output_points)
     first, second = _lift_table(problem.driver, N, problem.t_end / K, K)
 
-    field = problem.field
-    tj = np.transpose(field.tensor, (1, 0, 2))  # tj[j] = T_j
-    tt = np.einsum("jpr,irq->ijpq", tj, tj)  # tt[i, j] = T_j T_i
-    eye = np.eye(field.d)
+    d = problem.driver.d
+    tj = np.transpose(problem.field.tensor, (0, 2, 1))  # planes tj[..., j] = T_j
+    tt = _plane_product(tj[:, :, None, :], tj[:, :, :, None])  # tt[..., i, j] = T_j T_i
+    # step k = basis . (1, X_k, A_k): planes of I, every T_j and every T_j T_i
+    basis = np.concatenate([np.eye(d)[..., None], tj, tt.reshape(d, d, d * d)], axis=-1)
 
     def step_matrices(k: int, n: int) -> np.ndarray:
-        area = np.tensordot(second[k : k + n], tt, axes=([1, 2], [0, 1]))
-        return eye + field.state_matrix(first[k : k + n]) + area
+        coef = np.concatenate([np.ones((n, 1)), first[k : k + n],
+                               second[k : k + n].reshape(n, d * d)], axis=1)
+        return np.tensordot(basis, coef, axes=([-1], [1]))
 
     return _propagate(problem, K, stride, step_matrices)
 

@@ -5,8 +5,9 @@ b >= 2, amplitude ratio a in (0,1), a*b > 1, and trig either cosine or
 sine.  The Hoelder exponent alpha = -ln(a)/ln(b) and the amplitude a are
 kept mutually consistent to within an ulp.  All evaluation happens on the
 unit interval with exact phase reduction (see phase.py); scalar sums use
-math.fsum, vectorized grid sums use Kahan compensation in fixed ascending
-order so results are reproducible bit for bit.
+math.fsum, grid sums use Kahan compensation in fixed ascending order, and
+derivatives on affine node families are one matrix product over the modes,
+so results are reproducible bit for bit on one machine.
 
 Everything here is pure and immutable; safe for concurrent use.
 """
@@ -321,16 +322,20 @@ def eval_truncated_grid(c: WeierstrassComponent, N: int, table: TrigTable, idx: 
 
 
 def eval_derivative_affine(c: WeierstrassComponent, N: int, nodes: AffineNodes) -> np.ndarray:
-    """Derivative of the level-N partial sum on exact affine nodes."""
+    """Derivative of the level-N partial sum on exact affine nodes, by one GEMM.
+
+    Node j = q*R + r has the angle A_nq + B_nr in mode n, from the exactly
+    reduced anchors and offsets of AffineNodes._anchor_offset.  By angle
+    addition the sum over modes is the Q x 2(N+1) matrix [sin A | cos A]
+    times the 2(N+1) x R matrix [w*(-cos B) ; w*(-sin B)] (cosine phase) or
+    [w*(-sin B) ; w*cos B] (sine phase), with w_n = pi (ab)^n.
+    """
     N = _validate_level(N)
-    acc = np.zeros(nodes.count, dtype=np.float64)
-    comp = np.zeros_like(acc)
-    ab_pow = 1.0
-    for n in range(N + 1):
-        if c.phase is Phase.COSINE:
-            vals = -nodes.sin_scaled(c.b**n)
-        else:
-            vals = nodes.cos_scaled(c.b**n)
-        _kahan_update(acc, comp, ab_pow * vals)
-        ab_pow *= c.a * c.b
-    return math.pi * acc
+    a, b = map(np.array, zip(*(nodes._anchor_offset(c.b**n) for n in range(N + 1))))
+    w = math.pi * (c.a * c.b) ** np.arange(N + 1, dtype=np.float64)[:, None]
+    if c.phase is Phase.COSINE:
+        right = [-w * np.cos(b), -w * np.sin(b)]
+    else:
+        right = [-w * np.sin(b), w * np.cos(b)]
+    left = np.concatenate([np.sin(a), np.cos(a)]).T
+    return (left @ np.concatenate(right)).reshape(-1)[: nodes.count]

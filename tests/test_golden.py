@@ -7,11 +7,22 @@ any printed bit must regenerate the files on purpose:
 
     PYTHONPATH=src python tests/test_golden.py
 
+To see how far a change moves them first, without touching tests/golden/:
+
+    PYTHONPATH=src python tests/test_golden.py --drift
+
+writes every run to a temporary directory and prints, per file, how many
+printed numbers differ from the golden one and the largest absolute and
+relative drift among them.
+
 The goldens are pinned on the machine that wrote them.  numpy links an
 OpenBLAS built with DYNAMIC_ARCH, which picks its matrix kernels by CPU
 model, so on other hardware the level-2 entries may differ in the last bits.
 """
 
+import argparse
+import re
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -61,7 +72,34 @@ def test_output_matches_golden(name, argv, tmp_path):
     assert got == (GOLDEN_DIR / name).read_bytes()
 
 
+# a number not glued to a name or a version string (Y1, 0.1.0)
+_NUMBER = re.compile(r"(?<![\w.])[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def drift(old: str, new: str) -> str:
+    """One line comparing the numbers printed in two runs of the same command."""
+    a, b = _NUMBER.findall(old), _NUMBER.findall(new)
+    if _NUMBER.sub("#", old) != _NUMBER.sub("#", new) or len(a) != len(b):
+        return "layout differs (text or count of numbers)"
+    changed = [(float(x), float(y)) for x, y in zip(a, b) if x != y]
+    if not changed:
+        return f"identical ({len(a)} numbers)"
+    abs_drift = max(abs(x - y) for x, y in changed)
+    rel_drift = max(abs(x - y) / max(abs(x), abs(y)) if x != y else 0.0 for x, y in changed)
+    return (f"{len(changed)} of {len(a)} numbers differ, largest absolute drift "
+            f"{abs_drift:.2g}, largest relative drift {rel_drift:.2g}")
+
+
 if __name__ == "__main__":
-    GOLDEN_DIR.mkdir(exist_ok=True)
-    for name, argv in GOLDEN:
-        print(write_golden(name, argv, GOLDEN_DIR))
+    parser = argparse.ArgumentParser(description="Rewrite the golden files, or report drift.")
+    parser.add_argument("--drift", action="store_true",
+                        help="run into a temporary directory and compare with tests/golden/")
+    if parser.parse_args().drift:
+        with tempfile.TemporaryDirectory() as tmp:
+            for name, argv in GOLDEN:
+                new = write_golden(name, argv, Path(tmp)).read_text()
+                print(f"{name}: {drift((GOLDEN_DIR / name).read_text(), new)}")
+    else:
+        GOLDEN_DIR.mkdir(exist_ok=True)
+        for name, argv in GOLDEN:
+            print(write_golden(name, argv, GOLDEN_DIR))

@@ -6,6 +6,7 @@ import pytest
 
 from weierpath import (
     BilinearField,
+    LinearStateField,
     ParameterError,
     PathSample,
     RdeProblem,
@@ -28,6 +29,22 @@ import weierpath.rde as rde_mod
 @pytest.fixture(scope="module")
 def fig_problem(figure_pair):
     return RdeProblem(BilinearField(), figure_pair, np.array([1.0, 0.0]))
+
+
+def _dense_problem(phase, t_end=Fraction(1)):
+    """A seeded dense d = 3 field, where every T_i T_j is nonzero and T_i T_j != T_j T_i,
+    driven by three components (b = 2, 3, 5) in one phase."""
+    rng = np.random.default_rng(20230423)
+    field = LinearStateField(rng.uniform(-0.3, 0.3, (3, 3, 3)))
+    driver = VectorWeierstrass([validate_component(b, a=a, phase=phase)
+                                for b, a in ((2, "18/25"), (3, "3/5"), (5, "1/3"))])
+    return RdeProblem(field, driver, rng.uniform(-1.0, 1.0, 3), t_end=t_end)
+
+
+_ROUGH_LAYOUTS = [
+    (Fraction(1), 64, 9),  # table-sized step denominator
+    (Fraction(1000003, 1048583), 16, 5),  # step denominator above 2^20: scalar lifts
+]
 
 
 def _rk4_reference(problem, N, K):
@@ -163,6 +180,17 @@ class TestOdeSolver:
                 path = solve_ode_truncated(p, N, output_points=points)
                 assert np.max(np.abs(path.values - ref[:: K // (points - 1)])) <= 1e-12
 
+    @pytest.mark.parametrize("phase", ["cos", "sin"])
+    def test_dense_field_matches_plain_loop(self, phase):
+        # strides 1 and 64; the block boundaries are covered on the figure problem
+        dense = _dense_problem(phase)
+        N, K = 3, 512
+        p = RdeProblem(dense.field, dense.driver, dense.y0, step=Fraction(1, K))
+        ref = _rk4_reference(p, N, K)
+        for points in (K + 1, 9):
+            path = solve_ode_truncated(p, N, output_points=points)
+            assert np.max(np.abs(path.values - ref[:: K // (points - 1)])) <= 1e-12
+
     def test_prefix_of_longer_solve(self, fig_problem):
         step = Fraction(1, 1024)
         full = solve_ode_truncated(RdeProblem(BilinearField(), fig_problem.driver,
@@ -239,12 +267,17 @@ class TestRoughSolver:
         endpoint = paths[13].values[-1]
         assert endpoint == pytest.approx([3.381153206554035, 0.7303091898054921], rel=1e-6)
 
-    @pytest.mark.parametrize("t_end,K,points", [
-        (Fraction(1), 64, 9),  # table-sized step denominator
-        (Fraction(1000003, 1048583), 16, 5),  # step denominator above 2^20: scalar lifts
-    ])
+    @pytest.mark.parametrize("t_end,K,points", _ROUGH_LAYOUTS)
     def test_propagator_matches_step_loop(self, fig_problem, t_end, K, points):
         p = RdeProblem(BilinearField(), fig_problem.driver, fig_problem.y0, t_end=t_end)
+        path = solve_rough(p, 5, step=t_end / K, output_points=points)
+        ref = _rough_reference(p, 5, K)
+        assert np.max(np.abs(path.values - ref[:: K // (points - 1)])) <= 1e-12
+
+    @pytest.mark.parametrize("t_end,K,points", _ROUGH_LAYOUTS)
+    @pytest.mark.parametrize("phase", ["cos", "sin"])
+    def test_dense_field_matches_step_loop(self, phase, t_end, K, points):
+        p = _dense_problem(phase, t_end)
         path = solve_rough(p, 5, step=t_end / K, output_points=points)
         ref = _rough_reference(p, 5, K)
         assert np.max(np.abs(path.values - ref[:: K // (points - 1)])) <= 1e-12

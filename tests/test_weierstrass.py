@@ -15,8 +15,12 @@ from weierpath import (
     eval_vector,
     validate_component,
 )
-from weierpath.phase import TrigTable, phase_mod2, unit_time
-from weierpath.weierstrass import component_from_config, eval_truncated_grid
+from weierpath.phase import AffineNodes, TrigTable, phase_mod2, unit_time
+from weierpath.weierstrass import (
+    component_from_config,
+    eval_derivative_affine,
+    eval_truncated_grid,
+)
 
 
 class TestValidateComponent:
@@ -229,6 +233,52 @@ class TestInvariants:
         vals = eval_truncated_grid(comp_b3, 9, table, idx)
         for k in (0, 17, 40, 64):
             assert vals[k] == pytest.approx(eval_truncated(comp_b3, 9, Fraction(k, den)), abs=5e-15)
+
+
+# counts 1, k^2 and k^2 + 1 fill the (Q, R) node grid exactly or leave one node in a new row
+_node_counts = st.integers(1, 12).flatmap(lambda k: st.sampled_from([1, k * k, k * k + 1]))
+
+
+@st.composite
+def _affine_families(draw, big_den):
+    """(start, step, count) with every node in [0, 1]; big_den makes 2*den > 2^61."""
+    count = draw(_node_counts)
+    if big_den:  # a numerator prime to 3 keeps the denominator 3^39
+        start = Fraction(3 * draw(st.integers(0, 3**38 // 2)) + 1, 3**39)
+    else:
+        start_den = draw(st.integers(1, 1 << 30))
+        start = Fraction(draw(st.integers(0, start_den // 2)), start_den)
+    step_den = draw(st.integers(2 * count, 1 << 30))
+    step = Fraction(draw(st.integers(1, step_den // (2 * count))), step_den)
+    return start, step, count
+
+
+class TestEvalDerivativeAffine:
+    """The GEMM over modes against math.fsum of exact scalar terms at Fraction node times."""
+
+    TOL = 1e-14
+
+    def _check(self, c, N, start, step, count):
+        nodes = AffineNodes(start, step, count)
+        got = eval_derivative_affine(c, N, nodes)
+        ref = np.array([eval_derivative(c, N, start + j * step) for j in range(count)])
+        assert got.shape == (count,)
+        # relative to max|W'| over the nodes, floored at the top mode's amplitude
+        # so that a lone node near a zero of W' does not shrink the scale
+        scale = max(float(np.max(np.abs(ref))), math.pi * (c.a * c.b) ** N)
+        assert np.max(np.abs(got - ref)) <= self.TOL * scale
+
+    @given(b=st.integers(2, 9), alpha=st.floats(0.3, 0.7), phase=st.sampled_from(["cos", "sin"]),
+           N=st.integers(0, 20), family=_affine_families(big_den=False))
+    def test_matches_scalar_derivative(self, b, alpha, phase, N, family):
+        self._check(validate_component(b, alpha=alpha, phase=phase), N, *family)
+
+    @given(b=st.integers(2, 9), alpha=st.floats(0.3, 0.7), phase=st.sampled_from(["cos", "sin"]),
+           N=st.integers(0, 20), family=_affine_families(big_den=True))
+    def test_big_denominator_family(self, b, alpha, phase, N, family):
+        start, step, count = family
+        assert 2 * AffineNodes(start, step, count).den > 1 << 61
+        self._check(validate_component(b, alpha=alpha, phase=phase), N, *family)
 
 
 class TestPhaseReduction:
