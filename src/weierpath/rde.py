@@ -250,8 +250,9 @@ def _stage_matrices(problem: RdeProblem, N: int, seg_start: Fraction, h: Fractio
     """RK4 propagator matrices of `steps` consecutive steps from seg_start, (d, d, steps)."""
     nodes = AffineNodes(seg_start, h / 2, 2 * steps + 1)
     wp = np.stack([eval_derivative_affine(c, N, nodes) for c in problem.driver.components])
-    # one (d, d, 2*steps+1) array for all nodes: built as two halves, the
-    # smaller temporaries let glibc trim and fault in the heap top every block
+    # one (d, d, 2*steps+1) array for all nodes: built as even and odd halves,
+    # the smaller temporaries let glibc trim the heap top and fault it in
+    # again for every block
     g = problem.field.state_matrix(wp)
     g1, g2, g3 = g[..., 0:-1:2], g[..., 1::2], g[..., 2::2]
     hf = float(h)

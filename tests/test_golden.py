@@ -73,7 +73,7 @@ def test_output_matches_golden(name, argv, tmp_path):
 
 
 # a number not glued to a name or a version string (Y1, 0.1.0)
-_NUMBER = re.compile(r"(?<![\w.])[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+_NUMBER = re.compile(r"(?<![\w.])[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?(?![\w.])")
 
 
 def drift(old: str, new: str) -> str:
@@ -88,6 +88,15 @@ def drift(old: str, new: str) -> str:
     rel_drift = max(abs(x - y) / max(abs(x), abs(y)) if x != y else 0.0 for x, y in changed)
     return (f"{len(changed)} of {len(a)} numbers differ, largest absolute drift "
             f"{abs_drift:.2g}, largest relative drift {rel_drift:.2g}")
+
+
+def test_drift_reports_changed_numbers():
+    old = "t,Y1\n# generator=weierpath 0.1.0\n0.5,1.25,-3e-05\n"
+    assert drift(old, old) == "identical (3 numbers)"
+    assert drift(old, old.replace("1.25", "1.2500000000000002")) == (
+        "1 of 3 numbers differ, largest absolute drift 2.2e-16, largest relative drift 1.8e-16")
+    assert drift(old, old.replace("t,Y1", "t,Y2")).startswith("layout differs")
+    assert drift(old, old + "1.0,2.0,3.0\n").startswith("layout differs")
 
 
 if __name__ == "__main__":
