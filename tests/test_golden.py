@@ -39,6 +39,12 @@ GOLDEN = (
     ("lift_tol.json", ["lift", "--figure-params", "--tol", "1e-7", "--eps-prime", "0.1"]),
     ("norms.json", ["norms", "--figure-params", "--alpha", "0.46", "--N", "8", "--depth", "6"]),
     ("converge.csv", ["converge", "--figure-params", "--Ns", "4,6,8", "--depth", "6"]),
+    # depth 12 > FULL_SWEEP_DEPTH: the subsampled sweep (stride pairs plus the
+    # fine separation band), with every supSecondEntries value
+    ("converge_depth12.json", ["converge", "--figure-params", "--Ns", "4,6,8", "--depth", "12",
+                               "--json"]),
+    ("norms_depth12.json", ["norms", "--figure-params", "--alpha", "0.46", "--N", "8",
+                            "--depth", "12"]),
     ("demo.csv", ["demo", "--Ns", "1,2,3,4", "--t", "7/10"]),
     ("bounds.csv", ["bounds", "--b1", "2", "--b2", "3", "--n", "2", "--ell", "3",
                     "--eps", "0.2", "--samples", "20"]),
