@@ -14,9 +14,12 @@ and measures the geometric rate at which truncated lifts converge.
 
 Grid sweeps exploit that the canonical lift of a smooth truncation
 satisfies the Chen relation exactly: A_N(s, t) is recovered from the
-prefix values A_N(0, .) and the first level, so a full pair sweep costs
-O(points^2) instead of O(points^2 * modes^2).  All results are sups over
-finite grids and therefore lower bounds of the true seminorms.
+prefix values A_N(0, .) and the first level, so a pair costs O(1) instead
+of O(modes^2).  A sweep visits the pair set its grid spec names (every
+pair s < t up to FULL_SWEEP_DEPTH; beyond it the pairs of a stride
+subgrid and every separation up to 8 strides) in blocks with no masked
+work.  All results are sups over finite grids and therefore lower bounds
+of the true seminorms.
 
 Pure functions on immutable inputs throughout; reductions are max/sup, so
 evaluation order cannot change any result.
@@ -66,7 +69,7 @@ __all__ = [
 ]
 
 MAX_GRID_DEPTH = 14
-FULL_SWEEP_DEPTH = 11  # beyond this, pair sweeps subsample fine separations
+FULL_SWEEP_DEPTH = 11  # beyond this, pair sweeps keep a subgrid and short separations
 
 
 @dataclass(frozen=True)
@@ -273,49 +276,61 @@ def _grid_spec(depth: int, what: str) -> str:
     )
 
 
-_ROW_CHUNK = 256
+_ROW_CHUNK = 64
+
+
+def _band_block(den: int, k: int):
+    """The pairs (s, s + k) of the whole grid as one contiguous 1-D block."""
+    n = den + 1 - k
+    return slice(0, n), slice(k, den + 1), np.full(n, k, dtype=np.int64) / den, None
 
 
 def _pair_blocks(den: int, depth: int):
-    """Yield (rows, cols, separations, mask) blocks covering the pair sweep.
+    """Yield (rows, cols, dt, drop) blocks holding exactly the pairs _grid_spec names.
 
-    Up to FULL_SWEEP_DEPTH every pair (s, t), s < t, of grid indices is
-    covered.  Beyond that the sweep subsamples: one pass over all pairs of a
-    stride-2^(depth-11) subgrid (the coarse structure) and one pass over all
-    fine pairs with separation <= 8 strides.  Estimates remain lower bounds
-    of the true sup.
+    rows and cols index s and t and broadcast against each other into the
+    block; dt = (t - s) / den per pair.  A coarse block pairs a chunk
+    [lo, hi) of the grid (or, beyond FULL_SWEEP_DEPTH, of its
+    stride-2^(depth-11) subgrid) with the columns from lo + 1 on, so every
+    pair s < t is swept once and the pairs s >= t lie only in the leading
+    (hi - lo) x (hi - lo) square.  ``drop`` marks them there; their dt is
+    1/den, and consumers zero them (_zero_dropped).  Beyond FULL_SWEEP_DEPTH,
+    one band block per separation k <= 8 strides adds every fine pair
+    (s, s + k); bands hold no pair s >= t and have drop None.  Estimates
+    remain lower bounds of the true sup.
     """
-    if depth <= FULL_SWEEP_DEPTH:
-        cols = np.arange(den + 1, dtype=np.int64)
-        for lo in range(0, den, _ROW_CHUNK):
-            rows = np.arange(lo, min(lo + _ROW_CHUNK, den), dtype=np.int64)
-            sep = cols[None, :] - rows[:, None]
-            yield rows, cols, sep, (sep > 0)
-        return
-    stride = 1 << (depth - FULL_SWEEP_DEPTH)
-    sub = np.arange(0, den + 1, stride, dtype=np.int64)
-    for lo in range(0, sub.size - 1, _ROW_CHUNK):
-        rows = sub[lo : min(lo + _ROW_CHUNK, sub.size - 1)]
-        sep = sub[None, :] - rows[:, None]
-        yield rows, sub, sep, (sep > 0)
-    max_sep = 8 * stride
-    for lo in range(0, den, _ROW_CHUNK):
-        hi = min(lo + _ROW_CHUNK, den)
-        rows = np.arange(lo, hi, dtype=np.int64)
-        cols = np.arange(lo + 1, min(hi - 1 + max_sep, den) + 1, dtype=np.int64)
-        sep = cols[None, :] - rows[:, None]
-        yield rows, cols, sep, (sep > 0) & (sep <= max_sep)
+    stride = 1 << max(depth - FULL_SWEEP_DEPTH, 0)
+    grid = np.arange(0, den + 1, stride, dtype=np.int64)
+    for lo in range(0, grid.size - 1, _ROW_CHUNK):
+        rows = grid[lo : min(lo + _ROW_CHUNK, grid.size - 1), None]
+        cols = grid[lo + 1 :]
+        sep = cols - rows
+        square = sep[:, : rows.shape[0]]
+        drop = square <= 0
+        np.copyto(square, 1, where=drop)
+        yield rows, cols, sep / den, drop
+    if stride > 1:
+        for k in range(1, 8 * stride + 1):
+            yield _band_block(den, k)
+
+
+def _zero_dropped(x, drop):
+    """Zero a block's pairs s >= t, which lie in its leading square."""
+    if drop is not None:
+        np.copyto(x[:, : drop.shape[1]], 0.0, where=drop)
+    return x
 
 
 def _second_level_rows(q, wi, wj, rows, cols, out, tmp):
-    """Write A(s, t) for selected s rows and t cols into ``out``, via the Chen prefix identity.
+    """Write A(s, t) for the s rows and t cols of a block into ``out``, via the Chen prefix identity.
 
-    ``out`` and ``tmp`` are (rows, cols) buffers, so that a sweep allocates
+    ``rows`` and ``cols`` broadcast against each other (_pair_blocks);
+    ``out`` and ``tmp`` are block-shaped buffers, so that a sweep allocates
     no block-sized temporaries per call.
     """
-    np.subtract(q[cols][None, :], q[rows, None], out=out)
-    np.subtract(wj[cols][None, :], wj[rows, None], out=tmp)
-    tmp *= wi[rows, None] - wi[0]
+    np.subtract(q[cols], q[rows], out=out)
+    np.subtract(wj[cols], wj[rows], out=tmp)
+    tmp *= wi[rows] - wi[0]
     out -= tmp
 
 
@@ -325,14 +340,13 @@ def _norm_parts(v: VectorWeierstrass, N: int, alpha: float, depth: int) -> tuple
 
     holder = 0.0
     area = 0.0
-    for rows, cols, sep, mask in _pair_blocks(den, depth):
-        dt = np.where(mask, sep, 1) / den
-        w1 = np.where(mask, dt**-alpha, 0.0)
-        w2 = np.where(mask, dt ** (-2 * alpha), 0.0)
-        a, tmp = np.empty((2,) + mask.shape)
+    for rows, cols, dt, drop in _pair_blocks(den, depth):
+        w1 = _zero_dropped(dt**-alpha, drop)
+        w2 = _zero_dropped(dt ** (-2 * alpha), drop)
+        a, tmp = np.empty((2,) + dt.shape)
         for ci in range(v.d):
             wv = W[(ci, N)]
-            m = float(np.max(np.abs(wv[cols][None, :] - wv[rows, None]) * w1))
+            m = float(np.max(np.abs(wv[cols] - wv[rows]) * w1))
             holder = max(holder, m)
         for i in range(v.d):
             wi = W[(i, N)]
@@ -348,13 +362,11 @@ def _fine_scale_area_sup(v: VectorWeierstrass, N: int, alpha: float, depth: int)
     idx, W, Q = _level_tables(v, [N], depth)
     dt = 1.0 / den
     sup = 0.0
-    k = np.arange(den, dtype=np.int64)
+    rows, cols, _, _ = _band_block(den, 1)
+    a, tmp = np.empty((2, den))
     for i in range(v.d):
-        wi = W[(i, N)]
         for j in range(v.d):
-            q = Q[N][:, i, j]
-            wj = W[(j, N)]
-            a = q[k + 1] - q[k] - (wi[k] - wi[0]) * (wj[k + 1] - wj[k])
+            _second_level_rows(Q[N][:, i, j], W[(i, N)], W[(j, N)], rows, cols, a, tmp)
             sup = max(sup, float(np.max(np.abs(a))) / dt ** (2 * alpha))
     return sup
 
@@ -439,9 +451,8 @@ def area_holder_sup(v: VectorWeierstrass, levels: Sequence[int], eps: float, dep
     den = 1 << depth
     idx, W, Q = _level_tables(v, levels, depth)
     out = {N: 0.0 for N in levels}
-    for rows, cols, sep, mask in _pair_blocks(den, depth):
-        dt = np.where(mask, sep, 1) / den
-        a, tmp = np.empty((2,) + mask.shape)
+    for rows, cols, dt, drop in _pair_blocks(den, depth):
+        a, tmp = np.empty((2,) + dt.shape)
         for i in range(v.d):
             for j in range(v.d):
                 expo = (
@@ -449,7 +460,7 @@ def area_holder_sup(v: VectorWeierstrass, levels: Sequence[int], eps: float, dep
                     if exponent is not None
                     else v.components[i].alpha + v.components[j].alpha - 2 * eps
                 )
-                w = np.where(mask, dt**-expo, 0.0)
+                w = _zero_dropped(dt**-expo, drop)
                 for N in levels:
                     _second_level_rows(Q[N][:, i, j], W[(i, N)], W[(j, N)], rows, cols, a, tmp)
                     m = float(np.max(np.abs(a) * w))
@@ -581,9 +592,8 @@ def convergence_report(v: VectorWeierstrass, Ns: Sequence[int], *,
 
     d = v.d
     entries = np.zeros((len(Ns), d, d))
-    for rows, cols, sep, mask in _pair_blocks(den, depth):
-        inv = np.where(mask, 1.0, 0.0)
-        a_ref, a_n, tmp = np.empty((3,) + mask.shape)
+    for rows, cols, dt, drop in _pair_blocks(den, depth):
+        a_ref, a_n, tmp = np.empty((3,) + dt.shape)
         for i in range(d):
             for j in range(d):
                 _second_level_rows(Q[ref][:, i, j], W[(i, ref)], W[(j, ref)], rows, cols,
@@ -591,7 +601,7 @@ def convergence_report(v: VectorWeierstrass, Ns: Sequence[int], *,
                 for k, N in enumerate(Ns):
                     _second_level_rows(Q[N][:, i, j], W[(i, N)], W[(j, N)], rows, cols, a_n, tmp)
                     np.subtract(a_ref, a_n, out=a_n)
-                    m = float(np.max(np.multiply(np.abs(a_n, out=a_n), inv, out=a_n)))
+                    m = float(np.max(_zero_dropped(np.abs(a_n, out=a_n), drop)))
                     if m > entries[k, i, j]:
                         entries[k, i, j] = m
 

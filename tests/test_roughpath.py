@@ -27,7 +27,13 @@ from weierpath.iterated import (
 )
 from weierpath.phase import _MAX_TABLE_DEN, TrigTable
 from weierpath.rde import _lift_table
-from weierpath.roughpath import _level_tables, _resolve_level
+from weierpath.roughpath import (
+    FULL_SWEEP_DEPTH,
+    _level_tables,
+    _pair_blocks,
+    _resolve_level,
+    _zero_dropped,
+)
 from weierpath.weierstrass import eval_truncated_grid, eval_vector
 
 
@@ -322,6 +328,30 @@ class TestAreaHolderSup:
     def test_per_entry_exponents_default(self, figure_pair):
         sups = area_holder_sup(figure_pair, [8], 0.02, 6)
         assert sups[8] > 0
+
+
+class TestPairBlocks:
+    @pytest.mark.parametrize("depth", [6, FULL_SWEEP_DEPTH, FULL_SWEEP_DEPTH + 1])
+    def test_weighted_pairs_are_the_named_set(self, depth):
+        den = 1 << depth
+        idx = np.arange(den + 1)
+        covered = np.zeros((den + 1, den + 1), dtype=bool)
+        for rows, cols, dt, drop in _pair_blocks(den, depth):
+            s, t = np.broadcast_arrays(idx[rows], idx[cols])
+            assert s.shape == dt.shape
+            weighted = _zero_dropped(dt**-0.5, drop) != 0
+            s, t = s[weighted], t[weighted]
+            assert np.all(s < t)
+            assert np.array_equal(dt[weighted], (t - s) / den)
+            covered[s, t] = True
+        ones = np.ones_like(covered)
+        named = np.triu(ones, 1)  # every s < t
+        if depth > FULL_SWEEP_DEPTH:
+            stride = 1 << (depth - FULL_SWEEP_DEPTH)
+            on_sub = idx % stride == 0
+            short = ~np.triu(ones, 8 * stride + 1)  # t - s <= 8 strides
+            named &= (on_sub[:, None] & on_sub[None, :]) | short
+        assert np.array_equal(covered, named)
 
 
 class TestConvergenceReport:
