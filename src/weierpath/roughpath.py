@@ -322,7 +322,7 @@ def _zero_dropped(x, drop):
 
 
 def _second_level_rows(q, wi, wj, rows, cols, out, tmp):
-    """Write A(s, t) for the s rows and t cols of a block into ``out``, via the Chen prefix identity.
+    """Write A(s, t) for a block of s rows and t cols into ``out``, via the Chen prefix identity.
 
     ``rows`` and ``cols`` broadcast against each other (_pair_blocks);
     ``out`` and ``tmp`` are block-shaped buffers, so that a sweep allocates
