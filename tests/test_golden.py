@@ -45,6 +45,8 @@ GOLDEN = (
                                "--json"]),
     ("norms_depth12.json", ["norms", "--figure-params", "--alpha", "0.46", "--N", "8",
                             "--depth", "12"]),
+    ("norms_exponent.csv", ["norms", "--figure-params", "--estimate-exponent", "--N", "12",
+                            "--depth", "8"]),
     ("demo.csv", ["demo", "--Ns", "1,2,3,4", "--t", "7/10"]),
     ("bounds.csv", ["bounds", "--b1", "2", "--b2", "3", "--n", "2", "--ell", "3",
                     "--eps", "0.2", "--samples", "20"]),
