@@ -392,22 +392,17 @@ _BLOCK = 1024  # intervals per kernel call; bounds the feature arrays
 def _features(c: WeierstrassComponent, N: int, points, table: Optional[TrigTable] = None):
     """(T, U), each of shape (points, N + 1): T = trig(b^n pi x) in c's phase, U the other one.
 
-    With a table, points are grid indices k (x = k/den) and the values are
-    table gathers; without one, points are Fraction times, reduced exactly
-    by phase_mod2 and evaluated by cos_pi and sin_pi.
+    With a table, points are grid indices k (x = k/den), gathered for all
+    modes in one call per trig function; without one, points are Fraction
+    times, reduced exactly by phase_mod2 and evaluated by cos_pi and sin_pi.
     """
-    cos_vals = np.empty((N + 1, len(points)))
-    sin_vals = np.empty_like(cos_vals)
-    w = 1
-    for n in range(N + 1):
-        if table is None:
-            phases = [phase_mod2(w, x) for x in points]
-            cos_vals[n] = [cos_pi(p) for p in phases]
-            sin_vals[n] = [sin_pi(p) for p in phases]
-        else:
-            cos_vals[n] = table.cos_scaled(w, points)
-            sin_vals[n] = table.sin_scaled(w, points)
-        w *= c.b
+    scales = [c.b**n for n in range(N + 1)]
+    if table is None:
+        phases = [[phase_mod2(w, x) for x in points] for w in scales]
+        cos_vals = np.array([[cos_pi(p) for p in row] for row in phases])
+        sin_vals = np.array([[sin_pi(p) for p in row] for row in phases])
+    else:
+        cos_vals, sin_vals = table.cos_scaled(scales, points), table.sin_scaled(scales, points)
     return (cos_vals.T, sin_vals.T) if c.phase is Phase.COSINE else (sin_vals.T, cos_vals.T)
 
 

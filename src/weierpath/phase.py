@@ -10,12 +10,15 @@ then accurate to an ulp or so for any frequency.
 
 Three evaluation paths share this reduction:
 
-* scalar: one Fraction time, one big-int frequency;
+* scalar: one Fraction time, one big-int frequency (phase_mod2);
 * table: a dyadic grid k/den with small den, where cos(pi*r/den) is
   precomputed for every residue r in [0, 2*den);
 * affine: uniform node families (start + j*step); only about 2*sqrt(count)
   anchor and offset phases are reduced exactly, and node values follow by
   angle addition.
+
+The table and affine paths share one exact array reducer, _residues, which
+reduces one mode or a whole set of modes per call.
 
 All functions are pure; tables are immutable after construction.
 """
@@ -69,7 +72,7 @@ def unit_time(value) -> Fraction:
 
 
 def phase_mod2(scale: int, t: Fraction) -> Fraction:
-    """Reduce scale*t mod 2 exactly; result in [0, 2)."""
+    """Reduce scale*t mod 2 exactly; result in [0, 2).  The scalar form of _residues."""
     num = (scale * t.numerator) % (2 * t.denominator)
     return Fraction(num, t.denominator)
 
@@ -112,6 +115,23 @@ def sin_pi(x: Fraction) -> float:
     return sign * math.sin(math.pi * float(x))
 
 
+def _residues(r0, c, j, two_den: int) -> np.ndarray:
+    """Exact (r0 + j*c) mod two_den for integer indices j >= 0.
+
+    r0 and c are ints, or lists of ints giving one row each (a leading axis).
+    The arithmetic is int64 when two_den < 2^62 and max r0 + max j * max c <
+    2^63, decided on Python ints, and Python ints otherwise.  The result is
+    int64 when two_den <= 2^63, else an object array of Python ints.
+    """
+    r0, c = ([x % two_den for x in v] if isinstance(v, list) else v % two_den for v in (r0, c))
+    j = np.asarray(j, dtype=np.int64)
+    top = [max(v) if isinstance(v, list) else v for v in (r0, c)]
+    dtype = np.int64 if two_den < 1 << 62 and top[0] + int(j.max(initial=0)) * top[1] < 1 << 63 else object
+    r0, c = (np.array(v, dtype).reshape((-1,) + (1,) * j.ndim) if isinstance(v, list) else v for v in (r0, c))
+    out = (r0 + c * j.astype(dtype, copy=False)) % two_den
+    return out if two_den > 1 << 63 else out.astype(np.int64, copy=False)
+
+
 _MAX_TABLE_DEN = 1 << 20
 
 
@@ -146,21 +166,13 @@ class TrigTable:
         self._cos = cos_vals
         self._sin = sin_vals
 
-    def residues(self, scale: int, idx: np.ndarray) -> np.ndarray:
-        """Residues of scale*idx mod 2*den for integer grid indices idx."""
-        two_den = 2 * self.den
-        c = scale % two_den
-        idx = np.asarray(idx, dtype=np.int64)
-        if idx.size and (int(idx.max(initial=0)) * c) >= (1 << 62):
-            # keep the modular product inside int64 (c < 2*den <= 2^21)
-            return ((idx % two_den) * c) % two_den
-        return (idx * c) % two_den
+    def cos_scaled(self, scale, idx: np.ndarray) -> np.ndarray:
+        """cos(scale*pi*idx/den) for grid indices idx >= 0; a list of scales gives one row each."""
+        return self._cos[_residues(0, scale, idx, 2 * self.den)]
 
-    def cos_scaled(self, scale: int, idx: np.ndarray) -> np.ndarray:
-        return self._cos[self.residues(scale, idx)]
-
-    def sin_scaled(self, scale: int, idx: np.ndarray) -> np.ndarray:
-        return self._sin[self.residues(scale, idx)]
+    def sin_scaled(self, scale, idx: np.ndarray) -> np.ndarray:
+        """sin(scale*pi*idx/den) for grid indices idx >= 0; a list of scales gives one row each."""
+        return self._sin[_residues(0, scale, idx, 2 * self.den)]
 
 
 class AffineNodes:
@@ -188,52 +200,35 @@ class AffineNodes:
         j = np.arange(self.count, dtype=np.float64)
         return (self.num0 + j * self.dnum) / self.den
 
-    def _residues(self, r0: int, c: int, n: int) -> np.ndarray:
-        """Exact residues (r0 + j*c) mod 2*den for j = 0..n-1, as doubles."""
-        two_den = 2 * self.den
-        r0 %= two_den
-        c %= two_den
-        out = np.empty(n, dtype=np.float64)
-        if two_den <= (1 << 61):
-            # blockwise so base + j*c stays below 2^63 in int64
-            block = max(1, ((1 << 62) - two_den) // max(c, 1))
-            j0 = 0
-            while j0 < n:
-                m = min(block, n - j0)
-                base = (r0 + j0 * c) % two_den
-                jj = np.arange(m, dtype=np.int64)
-                out[j0 : j0 + m] = (base + jj * c) % two_den
-                j0 += m
-        else:
-            acc = r0
-            for j in range(n):
-                out[j] = acc
-                acc = (acc + c) % two_den
-        return out
+    def _angles(self, r0, c, n: int) -> np.ndarray:
+        """pi/den times the residues (r0 + j*c) mod 2*den for j = 0..n-1 (see _residues)."""
+        return (np.pi / self.den) * _residues(r0, c, np.arange(n), 2 * self.den).astype(np.float64)
 
     def angles(self, scale: int) -> np.ndarray:
         """Reduced arguments scale*pi*t_j mod 2*pi, in [0, 2*pi)."""
-        return (np.pi / self.den) * self._residues(scale * self.num0, scale * self.dnum, self.count)
+        return self._angles(scale * self.num0, scale * self.dnum, self.count)
 
-    def _anchor_offset(self, scale: int):
-        """Exactly reduced anchor angles A_q and offset angles B_r."""
+    def _anchor_offset(self, scales: list[int]):
+        """Anchor angles A[n, q] = w*pi*t_{q*R} and offsets B[n, r] = w*pi*r*step, w = scales[n].
+
+        A is (modes, Q) and B is (modes, R), reduced mod 2*pi exactly, each in one call for all modes.
+        """
         R = math.isqrt(self.count - 1) + 1
         Q = -(-self.count // R)
-        unit = np.pi / self.den
-        a = unit * self._residues(scale * self.num0, scale * R * self.dnum, Q)
-        b = unit * self._residues(0, scale * self.dnum, R)
+        a = self._angles([s * self.num0 for s in scales], [s * R * self.dnum for s in scales], Q)
+        b = self._angles(0, [s * self.dnum for s in scales], R)
         return a, b
 
     def cos_scaled(self, scale: int) -> np.ndarray:
         """cos(scale*pi*t_j) for every node."""
-        a, b = self._anchor_offset(scale)
+        (a,), (b,) = self._anchor_offset([scale])
         vals = np.multiply.outer(np.cos(a), np.cos(b))
         vals -= np.multiply.outer(np.sin(a), np.sin(b))
         return vals.reshape(-1)[: self.count]
 
     def sin_scaled(self, scale: int) -> np.ndarray:
         """sin(scale*pi*t_j) for every node."""
-        a, b = self._anchor_offset(scale)
+        (a,), (b,) = self._anchor_offset([scale])
         vals = np.multiply.outer(np.sin(a), np.cos(b))
         vals += np.multiply.outer(np.cos(a), np.sin(b))
         return vals.reshape(-1)[: self.count]

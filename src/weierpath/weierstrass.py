@@ -324,14 +324,14 @@ def eval_truncated_grid(c: WeierstrassComponent, N: int, table: TrigTable, idx: 
 def eval_derivative_affine(c: WeierstrassComponent, N: int, nodes: AffineNodes) -> np.ndarray:
     """Derivative of the level-N partial sum on exact affine nodes, by one GEMM.
 
-    Node j = q*R + r has the angle A_nq + B_nr in mode n, from the exactly
-    reduced anchors and offsets of AffineNodes._anchor_offset.  By angle
-    addition the sum over modes is the Q x 2(N+1) matrix [sin A | cos A]
+    Node j = q*R + r has the angle A_nq + B_nr in mode n; one call of
+    AffineNodes._anchor_offset reduces A and B of all modes exactly.  By
+    angle addition the sum over modes is the Q x 2(N+1) matrix [sin A | cos A]
     times the 2(N+1) x R matrix [w*(-cos B) ; w*(-sin B)] (cosine phase) or
     [w*(-sin B) ; w*cos B] (sine phase), with w_n = pi (ab)^n.
     """
     N = _validate_level(N)
-    a, b = map(np.array, zip(*(nodes._anchor_offset(c.b**n) for n in range(N + 1))))
+    a, b = nodes._anchor_offset([c.b**n for n in range(N + 1)])
     w = math.pi * (c.a * c.b) ** np.arange(N + 1, dtype=np.float64)[:, None]
     if c.phase is Phase.COSINE:
         right = [-w * np.cos(b), -w * np.sin(b)]

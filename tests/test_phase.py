@@ -1,4 +1,4 @@
-"""AffineNodes trig values: angle addition over exactly reduced anchors and offsets."""
+"""The exact residue reducer, and the table and affine trig values built on it."""
 
 from fractions import Fraction
 
@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from weierpath.phase import AffineNodes, cos_pi, phase_mod2, sin_pi
+from weierpath.phase import AffineNodes, TrigTable, _residues, cos_pi, phase_mod2, sin_pi
 
 TOL = 4e-15
 
@@ -60,3 +60,85 @@ def test_big_denominator_fallback(count):
         assert np.max(np.abs(nodes.sin_scaled(scale) - ref_sin)) <= TOL
         assert np.max(np.abs(nodes.cos_scaled(scale) - ref_cos)) <= TOL
         assert np.max(np.abs(nodes.sin_scaled(scale) - np.sin(ang))) <= TOL
+
+
+# moduli near the int64 limits of _residues and beyond, and table sizes
+_TWO_DEN = st.one_of(
+    st.integers(1, 1 << 21),
+    st.tuples(st.sampled_from([61, 62, 63, 64, 100]), st.integers(-(1 << 20), 1 << 20)).map(
+        lambda eo: (1 << eo[0]) + eo[1]
+    ),
+)
+# small values keep the int64 branch reachable at every modulus; large ones
+# of both signs need the reduction before any arithmetic
+_INT = st.one_of(st.integers(0, 1 << 10), st.integers(-(1 << 200), 1 << 200))
+_J = st.lists(st.integers(0, 1 << 22), max_size=12).map(lambda j: np.array(j, dtype=np.int64))
+
+
+def _expected(r0, c, j, two_den):
+    return [(r0 + int(k) * c) % two_den for k in j]
+
+
+@given(two_den=_TWO_DEN, r0=_INT, c=_INT, j=_J)
+def test_residues_match_python_ints(two_den, r0, c, j):
+    got = _residues(r0, c, j, two_den)
+    assert got.shape == j.shape
+    assert got.dtype == (object if two_den > 1 << 63 else np.int64)
+    assert [int(x) for x in got] == _expected(r0, c, j, two_den)
+
+
+@given(two_den=_TWO_DEN, rows=st.lists(st.tuples(_INT, _INT), min_size=1, max_size=4), j=_J)
+def test_residues_rows_match_python_ints(two_den, rows, j):
+    got = _residues([r for r, _ in rows], [c for _, c in rows], j, two_den)
+    assert got.shape == (len(rows),) + j.shape
+    for row, (r0, c) in zip(got, rows):
+        assert [int(x) for x in row] == _expected(r0, c, j, two_den)
+    # a scalar offset is shared by every row
+    got = _residues(0, [c for _, c in rows], j, two_den)
+    for row, (_, c) in zip(got, rows):
+        assert [int(x) for x in row] == _expected(0, c, j, two_den)
+
+
+@pytest.mark.parametrize("two_den,r0,c,j", [
+    # max r0 + max j * max c is 2^63 - 1 (int64) and 2^63 (Python ints)
+    ((1 << 62) - 1, 1 << 61, (1 << 61) - 1, [0, 4]),
+    ((1 << 62) - 1, (1 << 61) + 3, (1 << 61) - 1, [0, 4]),
+    # j * c between 2^63 and 2^64 would wrap in int64
+    ((1 << 61) + 1, 5, 1 << 61, [0, 1, 4, 7]),
+    # moduli at and above 2^62 with small operands
+    (1 << 62, 3, 2, [0, 1, 2]),
+    ((1 << 63) + 5, 3, 2, [0, 1, 2]),
+    ((1 << 64) + 5, (1 << 64) + 4, (1 << 63) + 9, [0, 1, 2]),
+])
+def test_residues_at_the_int64_limits(two_den, r0, c, j):
+    j = np.array(j, dtype=np.int64)
+    assert [int(x) for x in _residues(r0, c, j, two_den)] == _expected(r0, c, j, two_den)
+    assert [int(x) for x in _residues([r0], [c], j, two_den)[0]] == _expected(r0, c, j, two_den)
+
+
+_SCALES = [1, 3, 2**40, 3**12, 3**73, 2**31 * 3**40 + 1]
+
+
+@pytest.mark.parametrize("start,step,count", [
+    (Fraction(5, 997), Fraction(1, 2**14), 122),
+    (Fraction(1, 3**40), Fraction(7, 2**30), 50),
+])
+def test_anchor_offset_rows_equal_single_scales(start, step, count):
+    nodes = AffineNodes(start, step, count)
+    a, b = nodes._anchor_offset(_SCALES)
+    for n, scale in enumerate(_SCALES):
+        (a1,), (b1,) = nodes._anchor_offset([scale])
+        assert np.array_equal(a[n], a1) and np.array_equal(b[n], b1)
+
+
+@pytest.mark.parametrize("den", [1, 40, 1 << 20])
+def test_table_rows_equal_single_scales(den):
+    table = TrigTable(den)
+    idx = np.array([0, 1, 7, den - 1, den, 3 * den, 1 << 43], dtype=np.int64)
+    cos_rows, sin_rows = table.cos_scaled(_SCALES, idx), table.sin_scaled(_SCALES, idx)
+    for n, scale in enumerate(_SCALES):
+        assert np.array_equal(cos_rows[n], table.cos_scaled(scale, idx))
+        assert np.array_equal(sin_rows[n], table.sin_scaled(scale, idx))
+        ref = [phase_mod2(scale, Fraction(int(k), den)) for k in idx]
+        assert np.max(np.abs(cos_rows[n] - [cos_pi(x) for x in ref])) <= TOL
+        assert np.max(np.abs(sin_rows[n] - [sin_pi(x) for x in ref])) <= TOL
