@@ -334,9 +334,10 @@ def _second_level_rows(q, wi, wj, rows, cols, out, tmp):
     out -= tmp
 
 
-def _norm_parts(v: VectorWeierstrass, N: int, alpha: float, depth: int) -> tuple[float, float]:
+def _norm_parts(v: VectorWeierstrass, N: int, alpha: float, depth: int, tables) -> tuple[float, float]:
+    """Hoelder and area parts over the pairs _grid_spec names, from _level_tables(v, [N], depth)."""
     den = 1 << depth
-    idx, W, Q = _level_tables(v, [N], depth)
+    idx, W, Q = tables
 
     holder = 0.0
     area = 0.0
@@ -356,10 +357,10 @@ def _norm_parts(v: VectorWeierstrass, N: int, alpha: float, depth: int) -> tuple
     return holder, area
 
 
-def _fine_scale_area_sup(v: VectorWeierstrass, N: int, alpha: float, depth: int) -> float:
-    """Adjacent-pair area ratio sup: grows with depth iff alpha is too large."""
-    den = 1 << depth
-    idx, W, Q = _level_tables(v, [N], depth)
+def _fine_scale_area_sup(v: VectorWeierstrass, N: int, alpha: float, tables) -> float:
+    """Adjacent-pair area ratio sup on the grid of ``tables``: grows with depth iff alpha is too large."""
+    idx, W, Q = tables
+    den = idx.size - 1
     dt = 1.0 / den
     sup = 0.0
     rows, cols, _, _ = _band_block(den, 1)
@@ -404,8 +405,8 @@ def rough_norm(v: VectorWeierstrass, truncation, alpha: float, depth: int,
 
     ``truncation`` is a fixed level N or a TruncationPolicy; alpha must lie
     in (1/3, min_i alpha_i] unless ``enforce_alpha_range`` is lifted for
-    negative controls.  With ``flag_growth`` the area part is re-measured on
-    two coarser grids and flagged when it keeps growing with depth (the
+    negative controls.  With ``flag_growth`` the adjacent-pair area ratio at
+    depth is flagged when it exceeds 1.05 times the one at depth - 4 (the
     signature of an exponent outside the valid range).
     """
     depth = _validate_depth(depth)
@@ -418,13 +419,14 @@ def rough_norm(v: VectorWeierstrass, truncation, alpha: float, depth: int,
     if not (alpha > 0):
         raise ParameterError("alpha must be positive")
     N = _resolve_level(v, truncation)
-    holder, area = _norm_parts(v, N, alpha, depth)
+    tables = _level_tables(v, [N], depth)
+    holder, area = _norm_parts(v, N, alpha, depth, tables)
     flagged = None
     if flag_growth:
         if depth < 6:
             raise ParameterError("flag_growth needs depth >= 6")
-        coarse = _fine_scale_area_sup(v, N, alpha, depth - 4)
-        fine = _fine_scale_area_sup(v, N, alpha, depth)
+        coarse = _fine_scale_area_sup(v, N, alpha, _level_tables(v, [N], depth - 4))
+        fine = _fine_scale_area_sup(v, N, alpha, tables)
         flagged = bool(fine > 1.05 * coarse)
     return RoughNormEstimate(
         holder_part=holder,

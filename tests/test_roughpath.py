@@ -18,6 +18,7 @@ from weierpath import (
     lift_truncated,
     polyline_signed_area,
     rough_norm,
+    roughpath,
     validate_component,
 )
 from weierpath.iterated import (
@@ -298,6 +299,18 @@ class TestRoughNorm:
         good = rough_norm(figure_pair, 12, 0.46, 10, enforce_alpha_range=False, flag_growth=True)
         assert bad.growth_flagged is True
         assert good.growth_flagged is False
+
+    @pytest.mark.parametrize("flag_growth,depths", [(False, [8]), (True, [8, 4])])
+    def test_depth_tables_built_once(self, figure_pair, monkeypatch, flag_growth, depths):
+        built = []
+
+        def counting(v, levels, depth):
+            built.append(depth)
+            return _level_tables(v, levels, depth)
+
+        monkeypatch.setattr(roughpath, "_level_tables", counting)
+        rough_norm(figure_pair, 6, 0.46, 8, flag_growth=flag_growth)
+        assert built == depths
 
     def test_tolerance_policy_resolves_level(self, figure_pair):
         est = rough_norm(figure_pair, TruncationPolicy.tolerance(1e-4, 0.1), 0.46, 6)
