@@ -51,12 +51,13 @@ def estimate_exponent(c: WeierstrassComponent, N: int, depth: int) -> ExponentFi
     # pairs within separation 2^-m, endpoints refined 8x: the sup then tracks
     # the modulus of continuity instead of one fixed phase offset per scale
     refine = 3
+    den = 1 << (depth + refine)
+    finest = eval_truncated_grid(c, N, TrigTable(den), np.arange(den + 1, dtype=np.int64))
     rows = []
     for m in range(2, depth + 1):
-        den = 1 << (m + refine)
-        table = TrigTable(den)
-        idx = np.arange(den + 1, dtype=np.int64)
-        vals = eval_truncated_grid(c, N, table, idx)
+        # the grid k/2^(m + refine) is every 2^(depth - m)-th point of the finest
+        # one, with the same bits: pi/den differs from pi/2^(m + refine) by a power of 2
+        vals = finest[:: 1 << (depth - m)]
         sup = 0.0
         for gap in range(1, (1 << refine) + 1):
             sup = max(sup, float(np.max(np.abs(vals[gap:] - vals[:-gap]))))
