@@ -33,6 +33,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import ParameterError
+from .iterated import _dcos
 from .phase import cos_pi, phase_mod2, sin_pi, unit_time
 from .weierstrass import WeierstrassComponent
 
@@ -155,10 +156,6 @@ def cauchy_gap(f: TrigSeries, g: TrigSeries, M: int, N: int, s, t) -> tuple[floa
 
 # ---------------------------------------------------------------------------
 # equal-base mixed sine/cosine integrals
-
-
-def _dcos(w: int, s: Fraction, t: Fraction) -> float:
-    return cos_pi(phase_mod2(w, t)) - cos_pi(phase_mod2(w, s))
 
 
 def _dsin_signed(w: int, s: Fraction, t: Fraction) -> float:
