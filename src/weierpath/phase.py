@@ -118,17 +118,20 @@ def sin_pi(x: Fraction) -> float:
 def _residues(r0, c, j, two_den: int) -> np.ndarray:
     """Exact (r0 + j*c) mod two_den for integer indices j >= 0.
 
-    r0 and c are ints, or lists of ints giving one row each (a leading axis).
-    The arithmetic is int64 when two_den < 2^62 and max r0 + max j * max c <
-    2^63, decided on Python ints, and Python ints otherwise.  The result is
-    int64 when two_den <= 2^63, else an object array of Python ints.
+    r0 and c are ints, or lists of ints giving one row each (a leading axis);
+    c is a list whenever r0 is.  The arithmetic is int64 when two_den < 2^62
+    and max r0 + max j * max c < 2^63, decided on Python ints, and Python
+    ints otherwise; it works in place on one buffer of the result's shape.
+    The result is int64 when two_den <= 2^63, else an object array.
     """
     r0, c = ([x % two_den for x in v] if isinstance(v, list) else v % two_den for v in (r0, c))
     j = np.asarray(j, dtype=np.int64)
     top = [max(v) if isinstance(v, list) else v for v in (r0, c)]
     dtype = np.int64 if two_den < 1 << 62 and top[0] + int(j.max(initial=0)) * top[1] < 1 << 63 else object
     r0, c = (np.array(v, dtype).reshape((-1,) + (1,) * j.ndim) if isinstance(v, list) else v for v in (r0, c))
-    out = (r0 + c * j.astype(dtype, copy=False)) % two_den
+    out = c * j.astype(dtype, copy=False)
+    out += r0
+    out %= two_den
     return out if two_den > 1 << 63 else out.astype(np.int64, copy=False)
 
 

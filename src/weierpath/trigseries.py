@@ -33,7 +33,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import ParameterError
-from .iterated import _dcos
+from .iterated import _dcos, _dsin
 from .phase import cos_pi, phase_mod2, sin_pi, unit_time
 from .weierstrass import WeierstrassComponent
 
@@ -160,11 +160,7 @@ def cauchy_gap(f: TrigSeries, g: TrigSeries, M: int, N: int, s, t) -> tuple[floa
 
 def _dsin_signed(w: int, s: Fraction, t: Fraction) -> float:
     # sin is odd: handle negative frequency differences by sign flip
-    if w == 0:
-        return 0.0
-    sign = 1.0 if w > 0 else -1.0
-    w = abs(w)
-    return sign * (sin_pi(phase_mod2(w, t)) - sin_pi(phase_mod2(w, s)))
+    return (1.0 if w >= 0 else -1.0) * _dsin(abs(w), s, t)
 
 
 def _mixed_elementary(kind: str, m: int, k: int, s: Fraction, t: Fraction) -> float:
