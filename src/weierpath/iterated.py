@@ -13,13 +13,18 @@ function.  By product-to-sum on cos((k +- m) pi x), in both phases,
     P_mk = G T_m T_k + H U_m U_k,
 
 with G = k^2/(k^2 - m^2) and H = km/(k^2 - m^2), or G = 1/2 and H = 0 when
-m == k.  Summed over modes with C = a1^n a2^ell, the level-N value is a
-bilinear form in 4(N + 1) exact trig values per time point (_levy_kernel):
+m == k.  Summed over modes with C = a1^n a2^ell = a1 (x) a2, the level-N
+value is a bilinear form in 4(N + 1) exact trig values per time point
+(_levy_kernel):
 
-    I^N(s, t) = F(t) - F(s) - T1(s)^T C (T2(t) - T2(s)),
-    F(x) = T1(x)^T (C*G) T2(x) + U1(x)^T (C*H) U2(x),
+    I^N(s, t) = F(t) - F(s) - (a1 . T1(s)) ((a2 . T2)(t) - (a2 . T2)(s)),
+    F(x) = T1(x)^T (C*G) T2(x) + U1(x)^T (C*H) U2(x).
 
-evaluated by matrix products over blocks of intervals.  elementary_integral
+C is rank one, so the cross term is a product of two mode sums.  Features
+are (modes, points) arrays: F comes from the matrix products (C*G)^T T1 and
+(C*H)^T U1, summed over modes against T2 and U2, over blocks of points.
+The rough solver's lift table (_step_lift) builds each grid point's
+features once and takes both levels from them.  elementary_integral
 keeps the Dcos_{k +- m} form of the same closed form and
 iterated_integral_truncated sums it pair by pair with math.fsum; together
 with the quadrature oracle they are the references the kernel is tested
@@ -33,6 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -40,7 +46,13 @@ import numpy as np
 from .errors import ParameterError, ToleranceUnreachable
 from .phase import _MAX_TABLE_DEN, AffineNodes, TrigTable, cos_pi, phase_mod2, sin_pi, unit_time
 from .quadrature import QuadratureResult, integrate
-from .weierstrass import Phase, TruncationPolicy, WeierstrassComponent
+from .weierstrass import (
+    Phase,
+    TruncationPolicy,
+    VectorWeierstrass,
+    WeierstrassComponent,
+    _kahan_modes,
+)
 
 __all__ = [
     "FrequencyPair",
@@ -294,7 +306,7 @@ def _calibrate_tail_constant(c1: WeierstrassComponent, c2: WeierstrassComponent,
     closed form of _levy_kernel, taken entry by entry.  The tail claim is
     validated a posteriori in the tests by deepening N.
     """
-    (T1, U1), (T2, U2) = (_features(c, pilot, [s, t]) for c in (c1, c2))
+    (T1, U1), (T2, U2) = ([x.T for x in _features(c, pilot, [s, t])] for c in (c1, c2))
     G, H = _mode_pair_gh(c1.b, c2.b, pilot)
     J = (G * (np.outer(T1[1], T2[1]) - np.outer(T1[0], T2[0]))
          + H * (np.outer(U1[1], U2[1]) - np.outer(U1[0], U2[0]))
@@ -390,11 +402,12 @@ _BLOCK = 1024  # intervals per kernel call; bounds the feature arrays
 
 
 def _features(c: WeierstrassComponent, N: int, points, table: Optional[TrigTable] = None):
-    """(T, U), each of shape (points, N + 1): T = trig(b^n pi x) in c's phase, U the other one.
+    """(T, U): T = trig(b^n pi x) in c's phase, U the other one, for n <= N.
 
-    With a table, points are grid indices k (x = k/den), gathered for all
-    modes in one call per trig function; without one, points are Fraction
-    times, reduced exactly by phase_mod2 and evaluated by cos_pi and sin_pi.
+    Both are C-contiguous (N + 1, points) arrays.  With a table, points are
+    grid indices k (x = k/den), reduced for all modes by one _residues call
+    that serves both gathers; without one, points are Fraction times,
+    reduced exactly by phase_mod2 and evaluated by cos_pi and sin_pi.
     """
     scales = [c.b**n for n in range(N + 1)]
     if table is None:
@@ -402,45 +415,58 @@ def _features(c: WeierstrassComponent, N: int, points, table: Optional[TrigTable
         cos_vals = np.array([[cos_pi(p) for p in row] for row in phases])
         sin_vals = np.array([[sin_pi(p) for p in row] for row in phases])
     else:
-        cos_vals, sin_vals = table.cos_scaled(scales, points), table.sin_scaled(scales, points)
-    return (cos_vals.T, sin_vals.T) if c.phase is Phase.COSINE else (sin_vals.T, cos_vals.T)
+        cos_vals, sin_vals = table.cos_sin_scaled(scales, points)
+    return (cos_vals, sin_vals) if c.phase is Phase.COSINE else (sin_vals, cos_vals)
 
 
 def _mode_pair_gh(b1: int, b2: int, N: int) -> tuple[np.ndarray, np.ndarray]:
     """G and H of the mode-pair antiderivative over m = b1^n, k = b2^ell, n, ell <= N.
 
     G = k^2 / (k^2 - m^2) and H = k m / (k^2 - m^2), or G = 1/2 and H = 0
-    when m == k; Python int true division rounds both correctly.
+    when m == k; Python int true division rounds both correctly.  The
+    squares are formed once per row and column.
     """
-    ms = [b1**n for n in range(N + 1)]
-    ks = [b2**ell for ell in range(N + 1)]
-    G = np.array([[0.5 if m == k else (k * k) / (k * k - m * m) for k in ks] for m in ms])
-    H = np.array([[0.0 if m == k else (k * m) / (k * k - m * m) for k in ks] for m in ms])
+    ms = [(m, m * m) for m in (b1**n for n in range(N + 1))]
+    ks = [(k, k * k) for k in (b2**ell for ell in range(N + 1))]
+    G = np.array([[0.5 if m == k else k2 / (k2 - m2) for k, k2 in ks] for m, m2 in ms])
+    H = np.array([[0.0 if m == k else (k * m) / (k2 - m2) for k, k2 in ks] for m, m2 in ms])
     return G, H
 
 
 def _coefficients(c1: WeierstrassComponent, c2: WeierstrassComponent, N: int):
-    """C = a1^n a2^ell, C*G and C*H: the three matrices of _levy_kernel."""
-    C = np.outer([c1.a**n for n in range(N + 1)], [c2.a**ell for ell in range(N + 1)])
+    """(a1^n), (a2^ell), (C*G)^T and (C*H)^T, C = a1^n a2^ell: the coefficients of _levy_kernel.
+
+    The transposed products are C-contiguous, indexed (ell, n).
+    """
+    a1 = np.array([c1.a**n for n in range(N + 1)])
+    a2 = np.array([c2.a**ell for ell in range(N + 1)])
     G, H = _mode_pair_gh(c1.b, c2.b, N)
-    return C, C * G, C * H
+    C = np.outer(a1, a2)
+    return a1, a2, np.ascontiguousarray((C * G).T), np.ascontiguousarray((C * H).T)
 
 
-def _rowdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return np.einsum("ij,ij->i", x, y)
+def _mode_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """sum_n x[n] * y[n] per point of (modes, points) arrays; x is overwritten."""
+    x *= y
+    return x.sum(axis=0)
 
 
 def _levy_kernel(f1, f2, coef, s_pos, t_pos) -> np.ndarray:
-    """I^N(s, t) = F(t) - F(s) - T1(s)^T C (T2(t) - T2(s)) from point features.
+    """I^N(s, t) = F(t) - F(s) - (a1 . T1(s)) ((a2 . T2)(t) - (a2 . T2)(s)) from point features.
 
     f1 = (T1, U1) and f2 = (T2, U2) are _features of the two components,
-    coef = (C, C*G, C*H) and F(x) = T1(x)^T (C*G) T2(x) + U1(x)^T (C*H) U2(x);
-    s_pos and t_pos are the rows of the interval ends.
+    (modes, points) arrays; coef = (a1, a2, (C*G)^T, (C*H)^T) from
+    _coefficients.  F(x) = T1(x)^T (C*G) T2(x) + U1(x)^T (C*H) U2(x) comes
+    from the products (C*G)^T T1 and (C*H)^T U1 summed over modes against
+    T2 and U2; C = a1 (x) a2 is rank one, so the cross term is the product
+    of the mode sums a1 . T1 and a2 . T2.  s_pos and t_pos index the points
+    of the interval ends (index arrays or slices).
     """
     (T1, U1), (T2, U2) = f1, f2
-    C, CG, CH = coef
-    F = _rowdot(T1 @ CG, T2) + _rowdot(U1 @ CH, U2)
-    return F[t_pos] - F[s_pos] - _rowdot(T1[s_pos] @ C, T2[t_pos] - T2[s_pos])
+    a1, a2, CGt, CHt = coef
+    F = _mode_dot(CGt @ T1, T2) + _mode_dot(CHt @ U1, U2)
+    p1, p2 = a1 @ T1, a2 @ T2
+    return F[t_pos] - F[s_pos] - p1[s_pos] * (p2[t_pos] - p2[s_pos])
 
 
 def _truncated_pair(c1: WeierstrassComponent, c2: WeierstrassComponent, N: int,
@@ -465,10 +491,10 @@ def _kernel_blocks(c1: WeierstrassComponent, c2: WeierstrassComponent, levels: l
 
     A block builds table features once, at the top level and at its
     distinct grid points (consecutive intervals share their ends); level N
-    uses the leading N + 1 feature columns and coefficient rows and columns.
+    uses the leading N + 1 feature rows and coefficient entries.
     """
     top = levels[-1]
-    coef = _coefficients(c1, c2, top)
+    a1, a2, CGt, CHt = _coefficients(c1, c2, top)
     s_flat, t_flat = s_idx.ravel(), t_idx.ravel()
     out = {N: np.empty(s_flat.shape) for N in levels}
     for lo in range(0, s_flat.size, _BLOCK):
@@ -478,11 +504,41 @@ def _kernel_blocks(c1: WeierstrassComponent, c2: WeierstrassComponent, levels: l
         f2 = _features(c2, top, points, table)
         half = ends.size // 2
         for N in levels:
+            cut = slice(N + 1)
             out[N][lo : lo + half] = _levy_kernel(
-                [x[:, : N + 1] for x in f1], [x[:, : N + 1] for x in f2],
-                [x[: N + 1, : N + 1] for x in coef], pos[:half], pos[half:],
+                [x[cut] for x in f1], [x[cut] for x in f2],
+                (a1[cut], a2[cut], CGt[cut, cut], CHt[cut, cut]), pos[:half], pos[half:],
             )
     return {N: vals.reshape(s_idx.shape) for N, vals in out.items()}
+
+
+def _step_lift(v: VectorWeierstrass, N: int, table: TrigTable,
+               idx: np.ndarray) -> tuple[np.ndarray, dict]:
+    """Both levels of the level-N lift of v on consecutive grid points idx/den.
+
+    One pass over blocks of _BLOCK consecutive intervals.  A block builds
+    each component's features once at its _BLOCK + 1 points; level 1 is
+    their Kahan sum in ascending n (_kahan_modes, bit for bit what
+    eval_truncated_grid returns), and the entry (i, j), i < j, is
+    _levy_kernel between the points [0, n) and [1, n] of the block.
+    Returns W, shape (points, d), and {(i, j): I^N over each interval}.
+    """
+    cs = v.components
+    pairs = list(combinations(range(v.d), 2))
+    coef = {(i, j): _coefficients(cs[i], cs[j], N) for i, j in pairs}
+    w = np.empty((idx.size, v.d))
+    upper = {p: np.empty(idx.size - 1) for p in pairs}
+    for lo in range(0, idx.size - 1, _BLOCK):
+        points = idx[lo : lo + _BLOCK + 1]
+        n = points.size - 1
+        f = [_features(c, N, points, table) for c in cs]
+        for i, c in enumerate(cs):
+            w[lo : lo + n + 1, i] = _kahan_modes(c.a, f[i][0], points.shape)
+        for i, j in pairs:
+            upper[i, j][lo : lo + n] = _levy_kernel(f[i], f[j], coef[i, j],
+                                                    slice(0, n), slice(1, n + 1))
+        del f  # freed before the next block's features are built
+    return w, upper
 
 
 def iterated_grid_prefix(c1: WeierstrassComponent, c2: WeierstrassComponent,
@@ -502,7 +558,9 @@ def iterated_pairs(c1: WeierstrassComponent, c2: WeierstrassComponent, N: int,
     """I^N(s, t) vectorized over interval arrays (s_idx/den, t_idx/den).
 
     All (N + 1)^2 mode pairs are summed by _levy_kernel on table features,
-    in blocks of _BLOCK intervals (_kernel_blocks).
+    in blocks of _BLOCK intervals (_kernel_blocks).  The rough solver's lift
+    table takes the same kernel through _step_lift and is tested against
+    this function.
     """
     _require_same_phase(c1, c2)
     s_idx = np.asarray(s_idx, dtype=np.int64)

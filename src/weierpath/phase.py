@@ -121,7 +121,8 @@ def _residues(r0, c, j, two_den: int) -> np.ndarray:
     r0 and c are ints, or lists of ints giving one row each (a leading axis);
     c is a list whenever r0 is.  The arithmetic is int64 when two_den < 2^62
     and max r0 + max j * max c < 2^63, decided on Python ints, and Python
-    ints otherwise; it works in place on one buffer of the result's shape.
+    ints otherwise; it works in place on one buffer of the result's shape,
+    and skips the addition when r0 reduces to the int 0.
     The result is int64 when two_den <= 2^63, else an object array.
     """
     r0, c = ([x % two_den for x in v] if isinstance(v, list) else v % two_den for v in (r0, c))
@@ -130,7 +131,8 @@ def _residues(r0, c, j, two_den: int) -> np.ndarray:
     dtype = np.int64 if two_den < 1 << 62 and top[0] + int(j.max(initial=0)) * top[1] < 1 << 63 else object
     r0, c = (np.array(v, dtype).reshape((-1,) + (1,) * j.ndim) if isinstance(v, list) else v for v in (r0, c))
     out = c * j.astype(dtype, copy=False)
-    out += r0
+    if isinstance(r0, np.ndarray) or r0:
+        out += r0
     out %= two_den
     return out if two_den > 1 << 63 else out.astype(np.int64, copy=False)
 
@@ -176,6 +178,11 @@ class TrigTable:
     def sin_scaled(self, scale, idx: np.ndarray) -> np.ndarray:
         """sin(scale*pi*idx/den) for grid indices idx >= 0; a list of scales gives one row each."""
         return self._sin[_residues(0, scale, idx, 2 * self.den)]
+
+    def cos_sin_scaled(self, scale, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """cos_scaled and sin_scaled, both gathered from one residue array."""
+        r = _residues(0, scale, idx, 2 * self.den)
+        return self._cos[r], self._sin[r]
 
 
 class AffineNodes:

@@ -15,9 +15,11 @@ M(Y) = [T_1 Y | ... | T_d Y], so that every step is a d x d matrix acting on Y:
 
   that is Y <- (I + sum_j X^j T_j + sum_ij A^(i,j) T_j T_i) Y, consuming
   both levels of the lift increment over each step.  Increments come from a
-  uniform-grid lift table (_lift_table): grid-value differences, the
-  bilinear mode-pair kernel (iterated_pairs) between consecutive grid
-  points for the entries i < j, and the other entries from the first level
+  uniform-grid lift table (_lift_table): one pass over blocks of grid
+  points (iterated._step_lift) builds each point's trig features once and
+  takes from them the grid values, whose differences are the first level,
+  and the bilinear mode-pair kernel between consecutive points for the
+  entries i < j; the other entries follow from the first level
   (roughpath._geometric_second).
 
 Both share one propagator (_propagate): step matrices are built in blocks of
@@ -31,13 +33,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import ParameterError
-from .iterated import iterated_pairs
+from .iterated import _step_lift
 from .phase import _MAX_TABLE_DEN, AffineNodes, TrigTable, to_fraction, unit_time
 from .roughpath import _geometric_second, _resolve_level, lift_truncated
 from .weierstrass import (
@@ -45,7 +46,6 @@ from .weierstrass import (
     VectorWeierstrass,
     eval_derivative,
     eval_derivative_affine,
-    eval_truncated_grid,
 )
 
 __all__ = [
@@ -311,7 +311,7 @@ def _propagate(problem: RdeProblem, K: int, stride: int, step_matrices) -> PathS
             if k % stride == 0:
                 values.append(y)
     return PathSample(
-        times=np.array([float(h * (stride * m)) for m in range(len(values))]),
+        times=np.array([(h.numerator * stride * m) / h.denominator for m in range(len(values))]),
         values=np.vstack(values),
     )
 
@@ -339,21 +339,18 @@ def solve_ode_truncated(problem: RdeProblem, N: int, *, output_points: int = 102
 def _lift_table(driver: VectorWeierstrass, N: int, h: Fraction, K: int):
     """Per-step first and second level increments of the level-N lift.
 
-    For table-sized denominators the whole uniform grid is evaluated at
-    once with exact phases: grid-value differences for the first level and
-    one iterated_pairs call per entry i < j over consecutive grid points,
-    whose kernel builds the table features of each grid point once per
-    block.  Otherwise each step is a lift_truncated on scalar features.
+    For table-sized denominators the whole uniform grid is evaluated with
+    exact phases in one pass over blocks of grid points (_step_lift): the
+    table features of each point are built once and give both the grid
+    values, whose differences are the first level, and the entries i < j
+    of the second level over consecutive points.  Otherwise each step is a
+    lift_truncated on scalar features.
     """
     den = (h / 1).denominator
     if den <= _MAX_TABLE_DEN:
-        table = TrigTable(den)
         idx = h.numerator * np.arange(K + 1, dtype=np.int64)
-        w = np.stack([eval_truncated_grid(c, N, table, idx) for c in driver.components], axis=1)
+        w, upper = _step_lift(driver, N, TrigTable(den), idx)
         first = np.diff(w, axis=0)  # (K, d)
-        cs = driver.components
-        upper = {(i, j): iterated_pairs(cs[i], cs[j], N, table, idx[:-1], idx[1:])
-                 for i, j in combinations(range(driver.d), 2)}
         return first, _geometric_second(first, upper)
     incs = [lift_truncated(driver, N, h * k, h * (k + 1)) for k in range(K)]
     return np.array([inc.first for inc in incs]), np.array([inc.second for inc in incs])

@@ -303,22 +303,30 @@ def _kahan_update(acc: np.ndarray, comp: np.ndarray, term: np.ndarray) -> None:
     acc[...] = t
 
 
+def _kahan_modes(a: float, rows, shape) -> np.ndarray:
+    """sum_n a^n rows[n], accumulated in ascending n with Kahan compensation.
+
+    rows yields one array of the given shape per mode; the order is fixed,
+    so the output is reproducible bit for bit.
+    """
+    acc = np.zeros(shape, dtype=np.float64)
+    comp = np.zeros_like(acc)
+    a_pow = 1.0
+    for vals in rows:
+        _kahan_update(acc, comp, a_pow * vals)
+        a_pow *= a
+    return acc
+
+
 def eval_truncated_grid(c: WeierstrassComponent, N: int, table: TrigTable, idx: np.ndarray) -> np.ndarray:
     """Partial sums on a dyadic-style grid idx/den, vectorized with exact phases.
 
-    Accumulates in ascending n with Kahan compensation (fixed order, so the
-    output is reproducible).
+    Gathers one mode at a time and sums in ascending n by _kahan_modes.
     """
     N = _validate_level(N)
     idx = np.asarray(idx, dtype=np.int64)
-    acc = np.zeros(idx.shape, dtype=np.float64)
-    comp = np.zeros_like(acc)
-    a_pow = 1.0
-    for n in range(N + 1):
-        vals = table.cos_scaled(c.b**n, idx) if c.phase is Phase.COSINE else table.sin_scaled(c.b**n, idx)
-        _kahan_update(acc, comp, a_pow * vals)
-        a_pow *= c.a
-    return acc
+    trig = table.cos_scaled if c.phase is Phase.COSINE else table.sin_scaled
+    return _kahan_modes(c.a, (trig(c.b**n, idx) for n in range(N + 1)), idx.shape)
 
 
 def eval_derivative_affine(c: WeierstrassComponent, N: int, nodes: AffineNodes) -> np.ndarray:

@@ -24,6 +24,7 @@ from weierpath import (
 from weierpath.iterated import (
     DEFAULT_LIMIT_CAP,
     _calibrate_tail_constant,
+    _mode_pair_gh,
     _truncated_pair,
     geometric_tail_bound,
     iterated_grid_prefix,
@@ -330,6 +331,16 @@ class TestTailAudit:
         res = iterated_integral_limit(comp_b2, comp_b3, s, t, tol=tol, eps_prime=0.3)
         assert res.n_used == DEFAULT_LIMIT_CAP
         assert _audit_gap(comp_b2, comp_b3, s, t, res) <= res.tail_bound
+
+
+@pytest.mark.parametrize("b1,b2", [(2, 3), (2, 4), (3, 3)])
+def test_mode_pair_gh_matches_per_entry_formula(b1, b2):
+    ms = [b1**n for n in range(74)]
+    ks = [b2**ell for ell in range(74)]
+    G = np.array([[0.5 if m == k else (k * k) / (k * k - m * m) for k in ks] for m in ms])
+    H = np.array([[0.0 if m == k else (k * m) / (k * k - m * m) for k in ks] for m in ms])
+    got_g, got_h = _mode_pair_gh(b1, b2, 73)
+    assert np.array_equal(got_g, G) and np.array_equal(got_h, H)
 
 
 class TestGridPaths:

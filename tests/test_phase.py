@@ -136,6 +136,8 @@ def test_table_rows_equal_single_scales(den):
     table = TrigTable(den)
     idx = np.array([0, 1, 7, den - 1, den, 3 * den, 1 << 43], dtype=np.int64)
     cos_rows, sin_rows = table.cos_scaled(_SCALES, idx), table.sin_scaled(_SCALES, idx)
+    both = table.cos_sin_scaled(_SCALES, idx)
+    assert np.array_equal(both[0], cos_rows) and np.array_equal(both[1], sin_rows)
     for n, scale in enumerate(_SCALES):
         assert np.array_equal(cos_rows[n], table.cos_scaled(scale, idx))
         assert np.array_equal(sin_rows[n], table.sin_scaled(scale, idx))

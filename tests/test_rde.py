@@ -18,12 +18,16 @@ from weierpath import (
     default_ode_step,
     eval_derivative,
     eval_truncated,
+    iterated_integral_truncated,
     lift_truncated,
     solve_ode_truncated,
     solve_rough,
     validate_component,
 )
 import weierpath.rde as rde_mod
+from weierpath.iterated import _BLOCK
+from weierpath.phase import TrigTable
+from weierpath.weierstrass import eval_truncated_grid
 
 
 @pytest.fixture(scope="module")
@@ -310,6 +314,46 @@ class TestRoughSolver:
             for j in range(2):
                 want = iterated_pairs(comps[i], comps[j], 5, table, idx[:-1], idx[1:])
                 assert np.allclose(second[:, i, j], want, atol=1e-13)
+
+
+class TestLiftTable:
+    """The one-pass lift table over a grid of more than two blocks of _BLOCK steps."""
+
+    K = 2 * _BLOCK + 100
+    # a dyadic step denominator and one with a factor 3
+    STEPS = [Fraction(1, 4096), Fraction(1, 3072)]
+    # both sides of the first block boundary, and the first and last steps of
+    # the last, partial block
+    SAMPLED = (_BLOCK - 1, _BLOCK, 2 * _BLOCK, K - 1)
+
+    @pytest.mark.parametrize("h", STEPS)
+    def test_first_level_keeps_the_grid_bits(self, figure_pair, h):
+        first, _ = rde_mod._lift_table(figure_pair, 73, h, self.K)
+        table = TrigTable(h.denominator)
+        idx = h.numerator * np.arange(self.K + 1, dtype=np.int64)
+        w = np.stack([eval_truncated_grid(c, 73, table, idx) for c in figure_pair.components],
+                     axis=1)
+        assert np.array_equal(first, np.diff(w, axis=0))
+
+    # F(t) - F(s) telescopes, so Chen holds for any coefficients in C*G and
+    # C*H; the per-pair math.fsum sum is what checks them
+    @pytest.mark.parametrize("N", [40, 73])
+    @pytest.mark.parametrize("h", STEPS)
+    def test_second_level_matches_per_pair_sum(self, figure_pair, h, N):
+        _, second = rde_mod._lift_table(figure_pair, N, h, self.K)
+        c1, c2 = figure_pair.components
+        for k in self.SAMPLED:
+            want = iterated_integral_truncated(c1, c2, N, h * k, h * (k + 1))
+            assert abs(second[k, 0, 1] - want) <= 1e-12
+
+    @pytest.mark.parametrize("t_end", [Fraction(1), Fraction(3, 4), Fraction(7, 10)])
+    def test_output_times_are_the_rounded_fractions(self, figure_pair, t_end):
+        problem = RdeProblem(ZeroField(2), figure_pair, np.array([1.0, 0.0]), t_end=t_end)
+        K, stride = rde_mod._grid_layout(t_end, Fraction(1, 1 << 13), 1025)
+        path = rde_mod._propagate(problem, K, stride,
+                                  lambda k, n: np.repeat(np.eye(2)[..., None], n, axis=2))
+        h = t_end / K
+        assert path.times.tolist() == [float(h * (stride * m)) for m in range(K // stride + 1)]
 
 
 class TestApproximationGap:
