@@ -20,12 +20,9 @@ from .weierstrass import (
     validate_component,
 )
 from .iterated import (
-    BaseRelation,
     FrequencyPair,
-    IteratedIntegralRequest,
     LimitResult,
     bound_diagnostics,
-    classify_bases,
     elementary_integral,
     elementary_integral_quadrature,
     iterated_integral_limit,
@@ -79,10 +76,7 @@ __all__ = [
     "eval_vector",
     "eval_limit",
     "FrequencyPair",
-    "BaseRelation",
-    "IteratedIntegralRequest",
     "LimitResult",
-    "classify_bases",
     "elementary_integral",
     "elementary_integral_quadrature",
     "iterated_integral_truncated",

@@ -22,15 +22,16 @@ value is a bilinear form in 4(N + 1) exact trig values per time point
 
 C is rank one, so the cross term is a product of two mode sums.  Features
 are (modes, points) arrays: F comes from the matrix products (C*G)^T T1 and
-(C*H)^T U1, summed over modes against T2 and U2, over blocks of points.
-The rough solver's lift table (_step_lift) builds each grid point's
-features once and takes both levels from them.  elementary_integral
-keeps the Dcos_{k +- m} form of the same closed form and
-iterated_integral_truncated sums it pair by pair with math.fsum; together
-with the quadrature oracle they are the references the kernel is tested
-against.  Frequencies are exact big integers and every phase is reduced
-exactly, so both forms stay accurate at any mode order.  Everything is pure
-and thread-safe.
+(C*H)^T U1, summed over modes against T2 and U2.  On a table grid one pass
+over blocks of intervals (_grid_lift) builds each point's features once
+and takes both levels from them, at several truncation levels at once; the
+rough solver's lift table, the sweep tables and iterated_pairs all run it.
+elementary_integral keeps the Dcos_{k +- m} form of the same closed form
+and iterated_integral_truncated sums it pair by pair with math.fsum;
+together with the quadrature oracle they are the references the kernel is
+tested against.  Frequencies are exact big integers and every phase is
+reduced exactly, so both forms stay accurate at any mode order.
+Everything is pure and thread-safe.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -48,23 +49,19 @@ from .phase import _MAX_TABLE_DEN, AffineNodes, TrigTable, cos_pi, phase_mod2, s
 from .quadrature import QuadratureResult, integrate
 from .weierstrass import (
     Phase,
-    TruncationPolicy,
     VectorWeierstrass,
     WeierstrassComponent,
     _kahan_modes,
+    _validate_level,
 )
 
 __all__ = [
     "FrequencyPair",
-    "BaseRelation",
-    "IteratedIntegralRequest",
     "LimitResult",
-    "classify_bases",
     "elementary_integral",
     "elementary_integral_quadrature",
     "iterated_integral_truncated",
     "iterated_integral_limit",
-    "iterated_grid_prefix",
     "iterated_pairs",
     "geometric_tail_bound",
     "bound_diagnostics",
@@ -76,7 +73,7 @@ DEFAULT_LIMIT_CAP = 128
 
 
 # ---------------------------------------------------------------------------
-# base classification
+# mode pairs
 
 
 @dataclass(frozen=True)
@@ -101,56 +98,6 @@ class FrequencyPair:
     @property
     def integrator_frequency(self) -> int:
         return self.b2**self.ell
-
-
-@dataclass(frozen=True)
-class BaseRelation:
-    """Multiplicative relation between two integer bases.
-
-    kind is "equal_power" (b1 == b2), "dependent" (both are powers of a
-    minimal common base), or "independent" (log_{b1} b2 irrational).
-    """
-
-    kind: str
-    common_base: Optional[int] = None
-    q1: Optional[int] = None
-    q2: Optional[int] = None
-
-
-def _exact_log(x: int, base: int) -> Optional[int]:
-    """Exponent e with base^e == x, if one exists (exact integer arithmetic)."""
-    e = 0
-    while x > 1:
-        if x % base:
-            return None
-        x //= base
-        e += 1
-    return e if e >= 1 else None
-
-
-def classify_bases(b1: int, b2: int) -> BaseRelation:
-    """Decide multiplicative dependence of two bases by exact arithmetic.
-
-    Never uses floating-point logarithms: candidates for a common base must
-    divide gcd(b1, b2), and each candidate is checked by repeated exact
-    division.  The smallest working base is returned.
-    """
-    if b1 < 2 or b2 < 2:
-        raise ParameterError("bases must satisfy b >= 2")
-    if b1 == b2:
-        return BaseRelation(kind="equal_power", common_base=b1, q1=1, q2=1)
-    g = math.gcd(b1, b2)
-    for c in range(2, g + 1):
-        if g % c:
-            continue
-        e1 = _exact_log(b1, c)
-        if e1 is None:
-            continue
-        e2 = _exact_log(b2, c)
-        if e2 is None:
-            continue
-        return BaseRelation(kind="dependent", common_base=c, q1=e1, q2=e2)
-    return BaseRelation(kind="independent")
 
 
 # ---------------------------------------------------------------------------
@@ -367,38 +314,10 @@ def iterated_integral_limit(c1: WeierstrassComponent, c2: WeierstrassComponent,
     return LimitResult(_truncated_pair(c1, c2, n_used, s, t), n_used, bound)
 
 
-@dataclass(frozen=True)
-class IteratedIntegralRequest:
-    """Arguments of one iterated integral: components, interval, truncation."""
-
-    c1: WeierstrassComponent
-    c2: WeierstrassComponent
-    s: Fraction
-    t: Fraction
-    truncation: TruncationPolicy
-
-    def __post_init__(self):
-        _require_same_phase(self.c1, self.c2)
-        s = unit_time(self.s)
-        t = unit_time(self.t)
-        if s > t:
-            raise ParameterError("requires 0 <= s <= t <= 1")
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "t", t)
-
-    def evaluate(self):
-        if self.truncation.mode == "fixed":
-            return iterated_integral_truncated(self.c1, self.c2, self.truncation.N, self.s, self.t)
-        return iterated_integral_limit(
-            self.c1, self.c2, self.s, self.t,
-            tol=self.truncation.tol, eps_prime=self.truncation.eps_prime,
-        )
-
-
 # ---------------------------------------------------------------------------
 # the mode-pair kernel: level 2 as a bilinear form over exact trig features
 
-_BLOCK = 1024  # intervals per kernel call; bounds the feature arrays
+_BLOCK = 1024  # intervals per _grid_lift block; bounds the feature arrays
 
 
 def _features(c: WeierstrassComponent, N: int, points, table: Optional[TrigTable] = None):
@@ -485,91 +404,63 @@ def _truncated_pair(c1: WeierstrassComponent, c2: WeierstrassComponent, N: int,
                               _coefficients(c1, c2, N), [0], [1])[0])
 
 
-def _kernel_blocks(c1: WeierstrassComponent, c2: WeierstrassComponent, levels: list[int],
-                   table: TrigTable, s_idx: np.ndarray, t_idx: np.ndarray) -> dict[int, np.ndarray]:
-    """I^N(s_idx/den, t_idx/den) for each N in the sorted levels, by blocks of _BLOCK intervals.
+def _grid_lift(v: VectorWeierstrass, levels: list[int], table: TrigTable, idx: np.ndarray,
+               s_pos, t_pos) -> tuple[dict, dict]:
+    """Both levels of the lift of v on the grid idx/den, for each N in the sorted levels.
 
-    A block builds table features once, at the top level and at its
-    distinct grid points (consecutive intervals share their ends); level N
-    uses the leading N + 1 feature rows and coefficient entries.
-    """
-    top = levels[-1]
-    a1, a2, CGt, CHt = _coefficients(c1, c2, top)
-    s_flat, t_flat = s_idx.ravel(), t_idx.ravel()
-    out = {N: np.empty(s_flat.shape) for N in levels}
-    for lo in range(0, s_flat.size, _BLOCK):
-        ends = np.concatenate([s_flat[lo : lo + _BLOCK], t_flat[lo : lo + _BLOCK]])
-        points, pos = np.unique(ends, return_inverse=True)
-        f1 = _features(c1, top, points, table)
-        f2 = _features(c2, top, points, table)
-        half = ends.size // 2
-        for N in levels:
-            cut = slice(N + 1)
-            out[N][lo : lo + half] = _levy_kernel(
-                [x[cut] for x in f1], [x[cut] for x in f2],
-                (a1[cut], a2[cut], CGt[cut, cut], CHt[cut, cut]), pos[:half], pos[half:],
-            )
-    return {N: vals.reshape(s_idx.shape) for N, vals in out.items()}
-
-
-def _step_lift(v: VectorWeierstrass, N: int, table: TrigTable,
-               idx: np.ndarray) -> tuple[np.ndarray, dict]:
-    """Both levels of the level-N lift of v on consecutive grid points idx/den.
-
-    One pass over blocks of _BLOCK consecutive intervals.  A block builds
-    each component's features once at its _BLOCK + 1 points; level 1 is
-    their Kahan sum in ascending n (_kahan_modes, bit for bit what
-    eval_truncated_grid returns), and the entry (i, j), i < j, is
-    _levy_kernel between the points [0, n) and [1, n] of the block.
-    Returns W, shape (points, d), and {(i, j): I^N over each interval}.
+    The intervals are (idx[s_pos], idx[t_pos]), and every point of idx is an
+    end of one.  One pass over blocks of _BLOCK intervals: a block builds
+    each component's features once, at the top level and at the distinct
+    points of its ends.  Level 1 is their Kahan sum in ascending n, read
+    after row N (_kahan_modes, bit for bit what eval_truncated_grid
+    returns); the entry (i, j), i < j, is _levy_kernel on the leading
+    N + 1 rows.  Returns W[N], shape (d, points), and upper[N][(i, j)],
+    one value per interval.
     """
     cs = v.components
-    pairs = list(combinations(range(v.d), 2))
-    coef = {(i, j): _coefficients(cs[i], cs[j], N) for i, j in pairs}
-    w = np.empty((idx.size, v.d))
-    upper = {p: np.empty(idx.size - 1) for p in pairs}
-    for lo in range(0, idx.size - 1, _BLOCK):
-        points = idx[lo : lo + _BLOCK + 1]
-        n = points.size - 1
-        f = [_features(c, N, points, table) for c in cs]
+    top = levels[-1]
+    coef = {(i, j): _coefficients(cs[i], cs[j], top) for i, j in combinations(range(v.d), 2)}
+    s_pos, t_pos = np.broadcast_arrays(s_pos, t_pos)
+    W = {N: np.empty((v.d, idx.size)) for N in levels}
+    upper = {N: {p: np.empty(t_pos.size) for p in coef} for N in levels}
+    for lo in range(0, t_pos.size, _BLOCK):
+        ends = np.concatenate([s_pos[lo : lo + _BLOCK], t_pos[lo : lo + _BLOCK]])
+        pos, inv = np.unique(ends, return_inverse=True)
+        half = ends.size // 2
+        f = [_features(c, top, idx[pos], table) for c in cs]
         for i, c in enumerate(cs):
-            w[lo : lo + n + 1, i] = _kahan_modes(c.a, f[i][0], points.shape)
-        for i, j in pairs:
-            upper[i, j][lo : lo + n] = _levy_kernel(f[i], f[j], coef[i, j],
-                                                    slice(0, n), slice(1, n + 1))
+            for N, w in zip(levels, _kahan_modes(c.a, f[i][0], pos.shape, levels)):
+                W[N][i, pos] = w
+        for (i, j), (a1, a2, CGt, CHt) in coef.items():
+            for N in levels:
+                cut = slice(N + 1)
+                upper[N][i, j][lo : lo + half] = _levy_kernel(
+                    [x[cut] for x in f[i]], [x[cut] for x in f[j]],
+                    (a1[cut], a2[cut], CGt[cut, cut], CHt[cut, cut]), inv[:half], inv[half:],
+                )
         del f  # freed before the next block's features are built
-    return w, upper
-
-
-def iterated_grid_prefix(c1: WeierstrassComponent, c2: WeierstrassComponent,
-                         table: TrigTable, idx: np.ndarray,
-                         levels: Sequence[int]) -> dict[int, np.ndarray]:
-    """I^N(0, idx/den) for each N in levels, from one feature build per block (_kernel_blocks)."""
-    _require_same_phase(c1, c2)
-    levels = sorted(set(int(N) for N in levels))
-    if levels[0] < 0:
-        raise ParameterError("truncation levels must be nonnegative")
-    idx = np.asarray(idx, dtype=np.int64)
-    return _kernel_blocks(c1, c2, levels, table, np.zeros_like(idx), idx)
+    return W, upper
 
 
 def iterated_pairs(c1: WeierstrassComponent, c2: WeierstrassComponent, N: int,
                    table: TrigTable, s_idx: np.ndarray, t_idx: np.ndarray) -> np.ndarray:
     """I^N(s, t) vectorized over interval arrays (s_idx/den, t_idx/den).
 
-    All (N + 1)^2 mode pairs are summed by _levy_kernel on table features,
-    in blocks of _BLOCK intervals (_kernel_blocks).  The rough solver's lift
-    table takes the same kernel through _step_lift and is tested against
-    this function.
+    The distinct interval ends form the grid of one _grid_lift pass, which
+    sums all (N + 1)^2 mode pairs by _levy_kernel on table features.
     """
     _require_same_phase(c1, c2)
+    N = _validate_level(N)
     s_idx = np.asarray(s_idx, dtype=np.int64)
     t_idx = np.asarray(t_idx, dtype=np.int64)
     if s_idx.shape != t_idx.shape:
         raise ParameterError("s and t index arrays must have the same shape")
     if np.any(s_idx > t_idx):
         raise ParameterError("requires s <= t")
-    return _kernel_blocks(c1, c2, [N], table, s_idx, t_idx)[N]
+    idx, pos = np.unique(np.concatenate([s_idx.ravel(), t_idx.ravel()]), return_inverse=True)
+    _, upper = _grid_lift(VectorWeierstrass([c1, c2]), [N], table, idx,
+                          pos[: s_idx.size], pos[s_idx.size :])
+    return upper[N][0, 1].reshape(s_idx.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -38,17 +38,17 @@ import numpy as np
 from .errors import ParameterError
 from .iterated import (
     DEFAULT_LIMIT_CAP,
+    _grid_lift,
     _tail_level,
     _truncated_pair,
-    iterated_grid_prefix,
     iterated_integral_limit,
 )
 from .phase import TrigTable, unit_time
 from .weierstrass import (
     TruncationPolicy,
     VectorWeierstrass,
+    _validate_level,
     eval_limit,
-    eval_truncated_grid,
     eval_vector,
 )
 
@@ -237,30 +237,27 @@ def _validate_depth(depth: int) -> int:
     return int(depth)
 
 
+def _validate_levels(levels: Sequence[int]) -> list[int]:
+    """The distinct truncation levels in ascending order; at least one, each a nonnegative int."""
+    levels = sorted({_validate_level(N) for N in levels})
+    if not levels:
+        raise ParameterError("need at least one truncation level")
+    return levels
+
+
 def _level_tables(v: VectorWeierstrass, levels: Sequence[int], depth: int):
     """First-level values and second-level prefixes on the dyadic grid.
 
-    W[(i, N)] is W_i at level N and Q[N][:, i, j] is A_ij(0, .): prefixes
-    i < j are mode sweeps, the rest follow from X = W(.) - W(0).
+    One _grid_lift pass over the intervals (0, k/den) gives, for every
+    level N, the grid values W[N][i] = W_i and the prefixes A_ij(0, .),
+    i < j; Q[N][:, i, j] is A_ij(0, .), the other entries following from
+    X = W(.) - W(0).
     """
+    levels = _validate_levels(levels)
     den = 1 << depth
-    table = TrigTable(den)
     idx = np.arange(den + 1, dtype=np.int64)
-    W = {
-        (ci, N): eval_truncated_grid(v.components[ci], N, table, idx)
-        for ci in range(v.d)
-        for N in levels
-    }
-    cs = v.components
-    upper = {(i, j): iterated_grid_prefix(cs[i], cs[j], table, idx, levels)
-             for i, j in combinations(range(v.d), 2)}
-    Q = {
-        N: _geometric_second(
-            np.stack([W[(ci, N)] - W[(ci, N)][0] for ci in range(v.d)], axis=1),
-            {ij: pref[N] for ij, pref in upper.items()},
-        )
-        for N in levels
-    }
+    W, upper = _grid_lift(v, levels, TrigTable(den), idx, 0, idx)
+    Q = {N: _geometric_second((W[N] - W[N][:, :1]).T, upper[N]) for N in levels}
     return idx, W, Q
 
 
@@ -346,13 +343,13 @@ def _norm_parts(v: VectorWeierstrass, N: int, alpha: float, depth: int, tables) 
         w2 = _zero_dropped(dt ** (-2 * alpha), drop)
         a, tmp = np.empty((2,) + dt.shape)
         for ci in range(v.d):
-            wv = W[(ci, N)]
+            wv = W[N][ci]
             m = float(np.max(np.abs(wv[cols] - wv[rows]) * w1))
             holder = max(holder, m)
         for i in range(v.d):
-            wi = W[(i, N)]
+            wi = W[N][i]
             for j in range(v.d):
-                _second_level_rows(Q[N][:, i, j], wi, W[(j, N)], rows, cols, a, tmp)
+                _second_level_rows(Q[N][:, i, j], wi, W[N][j], rows, cols, a, tmp)
                 area = max(area, float(np.max(np.abs(a) * w2)))
     return holder, area
 
@@ -367,7 +364,7 @@ def _fine_scale_area_sup(v: VectorWeierstrass, N: int, alpha: float, tables) -> 
     a, tmp = np.empty((2, den))
     for i in range(v.d):
         for j in range(v.d):
-            _second_level_rows(Q[N][:, i, j], W[(i, N)], W[(j, N)], rows, cols, a, tmp)
+            _second_level_rows(Q[N][:, i, j], W[N][i], W[N][j], rows, cols, a, tmp)
             sup = max(sup, float(np.max(np.abs(a))) / dt ** (2 * alpha))
     return sup
 
@@ -449,7 +446,7 @@ def area_holder_sup(v: VectorWeierstrass, levels: Sequence[int], eps: float, dep
     depth = _validate_depth(depth)
     if not (eps > 0):
         raise ParameterError("eps must be positive")
-    levels = sorted(set(int(N) for N in levels))
+    levels = _validate_levels(levels)
     den = 1 << depth
     idx, W, Q = _level_tables(v, levels, depth)
     out = {N: 0.0 for N in levels}
@@ -464,7 +461,7 @@ def area_holder_sup(v: VectorWeierstrass, levels: Sequence[int], eps: float, dep
                 )
                 w = _zero_dropped(dt**-expo, drop)
                 for N in levels:
-                    _second_level_rows(Q[N][:, i, j], W[(i, N)], W[(j, N)], rows, cols, a, tmp)
+                    _second_level_rows(Q[N][:, i, j], W[N][i], W[N][j], rows, cols, a, tmp)
                     m = float(np.max(np.abs(a) * w))
                     if m > out[N]:
                         out[N] = m
@@ -558,11 +555,9 @@ def convergence_report(v: VectorWeierstrass, Ns: Sequence[int], *,
     the fit.  With ``strict`` a rate-bound violation raises ParameterError.
     """
     depth = _validate_depth(depth)
-    Ns = sorted(set(int(N) for N in Ns))
+    Ns = _validate_levels(Ns)
     if len(Ns) < 2:
         raise ParameterError("insufficient truncation levels to fit a rate (need >= 2)")
-    if Ns[0] < 0:
-        raise ParameterError("truncation levels must be nonnegative")
     min_alpha = min(v.alphas)
     if alpha is None:
         alpha = min_alpha
@@ -588,7 +583,7 @@ def convergence_report(v: VectorWeierstrass, Ns: Sequence[int], *,
     for N in Ns:
         worst = 0.0
         for ci in range(v.d):
-            diff = W[(ci, ref)] - W[(ci, N)]
+            diff = W[ref][ci] - W[N][ci]
             worst = max(worst, float(diff.max() - diff.min()))
         sup_first.append(worst)
 
@@ -598,10 +593,10 @@ def convergence_report(v: VectorWeierstrass, Ns: Sequence[int], *,
         a_ref, a_n, tmp = np.empty((3,) + dt.shape)
         for i in range(d):
             for j in range(d):
-                _second_level_rows(Q[ref][:, i, j], W[(i, ref)], W[(j, ref)], rows, cols,
+                _second_level_rows(Q[ref][:, i, j], W[ref][i], W[ref][j], rows, cols,
                                    a_ref, tmp)
                 for k, N in enumerate(Ns):
-                    _second_level_rows(Q[N][:, i, j], W[(i, N)], W[(j, N)], rows, cols, a_n, tmp)
+                    _second_level_rows(Q[N][:, i, j], W[N][i], W[N][j], rows, cols, a_n, tmp)
                     np.subtract(a_ref, a_n, out=a_n)
                     m = float(np.max(_zero_dropped(np.abs(a_n, out=a_n), drop)))
                     if m > entries[k, i, j]:

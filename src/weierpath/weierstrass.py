@@ -303,19 +303,23 @@ def _kahan_update(acc: np.ndarray, comp: np.ndarray, term: np.ndarray) -> None:
     acc[...] = t
 
 
-def _kahan_modes(a: float, rows, shape) -> np.ndarray:
-    """sum_n a^n rows[n], accumulated in ascending n with Kahan compensation.
+def _kahan_modes(a: float, rows, shape, levels: Sequence[int]) -> list[np.ndarray]:
+    """sum_{n <= N} a^n rows[n] for each N in the sorted levels, by one Kahan pass.
 
-    rows yields one array of the given shape per mode; the order is fixed,
-    so the output is reproducible bit for bit.
+    rows yields one array of the given shape per mode, summed in ascending
+    n; the partial sum of level N is read after row N.  The order is fixed,
+    so each partial sum is bit for bit the sum that stops at row N.
     """
     acc = np.zeros(shape, dtype=np.float64)
     comp = np.zeros_like(acc)
+    sums = []
     a_pow = 1.0
-    for vals in rows:
+    for n, vals in zip(range(levels[-1] + 1), rows):
         _kahan_update(acc, comp, a_pow * vals)
         a_pow *= a
-    return acc
+        if n in levels:
+            sums.append(acc.copy())
+    return sums
 
 
 def eval_truncated_grid(c: WeierstrassComponent, N: int, table: TrigTable, idx: np.ndarray) -> np.ndarray:
@@ -326,7 +330,7 @@ def eval_truncated_grid(c: WeierstrassComponent, N: int, table: TrigTable, idx: 
     N = _validate_level(N)
     idx = np.asarray(idx, dtype=np.int64)
     trig = table.cos_scaled if c.phase is Phase.COSINE else table.sin_scaled
-    return _kahan_modes(c.a, (trig(c.b**n, idx) for n in range(N + 1)), idx.shape)
+    return _kahan_modes(c.a, (trig(c.b**n, idx) for n in range(N + 1)), idx.shape, [N])[0]
 
 
 def eval_derivative_affine(c: WeierstrassComponent, N: int, nodes: AffineNodes) -> np.ndarray:

@@ -8,13 +8,11 @@ from hypothesis import assume, given, strategies as st
 
 from weierpath import (
     FrequencyPair,
-    IteratedIntegralRequest,
     ParameterError,
     Phase,
     ToleranceUnreachable,
-    TruncationPolicy,
+    VectorWeierstrass,
     bound_diagnostics,
-    classify_bases,
     elementary_integral,
     elementary_integral_quadrature,
     iterated_integral_limit,
@@ -24,65 +22,14 @@ from weierpath import (
 from weierpath.iterated import (
     DEFAULT_LIMIT_CAP,
     _calibrate_tail_constant,
+    _grid_lift,
     _mode_pair_gh,
     _truncated_pair,
     geometric_tail_bound,
-    iterated_grid_prefix,
     iterated_pairs,
 )
 from weierpath.phase import TrigTable, cos_pi, phase_mod2
 from weierpath.quadrature import integrate
-
-
-def brute_force_relation(b1, b2, max_exp=64):
-    for c in range(2, min(b1, b2) + 1):
-        for e1 in range(1, max_exp + 1):
-            p1 = c**e1
-            if p1 > b1:
-                break
-            if p1 == b1:
-                for e2 in range(1, max_exp + 1):
-                    p2 = c**e2
-                    if p2 > b2:
-                        break
-                    if p2 == b2:
-                        return ("dependent", c, e1, e2)
-    return ("independent",)
-
-
-class TestClassifyBases:
-    def test_power_pairs(self):
-        r = classify_bases(2, 8)
-        assert (r.kind, r.common_base, r.q1, r.q2) == ("dependent", 2, 1, 3)
-        r = classify_bases(4, 8)
-        assert (r.kind, r.common_base, r.q1, r.q2) == ("dependent", 2, 2, 3)
-
-    def test_independent(self):
-        assert classify_bases(2, 3).kind == "independent"
-        assert classify_bases(12, 18).kind == "independent"
-
-    def test_equal_power(self):
-        r = classify_bases(6, 6)
-        assert (r.kind, r.common_base) == ("equal_power", 6)
-
-    def test_large_powers_exact(self):
-        # float logs would be unreliable here; integer arithmetic is not
-        r = classify_bases(2**30, 2**45)
-        assert (r.kind, r.common_base, r.q1, r.q2) == ("dependent", 2, 30, 45)
-
-    @given(b1=st.integers(2, 200), b2=st.integers(2, 200))
-    def test_agrees_with_brute_force(self, b1, b2):
-        assume(b1 != b2)
-        got = classify_bases(b1, b2)
-        ref = brute_force_relation(b1, b2)
-        if ref[0] == "independent":
-            assert got.kind == "independent"
-        else:
-            assert (got.kind, got.common_base, got.q1, got.q2) == ref
-
-    def test_precondition(self):
-        with pytest.raises(ParameterError):
-            classify_bases(1, 8)
 
 
 class TestElementaryIntegral:
@@ -206,15 +153,6 @@ class TestIteratedTruncated:
         sin_c = validate_component(3, a="3/5", phase="sin")
         with pytest.raises(ParameterError, match="phase"):
             iterated_integral_truncated(comp_b2, sin_c, 4, 0, 1)
-
-    def test_request_dispatch(self, comp_b2, comp_b3):
-        req = IteratedIntegralRequest(comp_b2, comp_b3, Fraction(0), Fraction(1, 2),
-                                      TruncationPolicy.fixed(5))
-        assert req.evaluate() == iterated_integral_truncated(comp_b2, comp_b3, 5, 0, Fraction(1, 2))
-        req = IteratedIntegralRequest(comp_b2, comp_b3, Fraction(0), Fraction(1, 2),
-                                      TruncationPolicy.tolerance(1e-6, 0.1))
-        res = req.evaluate()
-        assert res.tail_bound <= 1e-6
 
     def test_sine_phase_pair(self):
         c1 = validate_component(2, a="18/25", phase="sin")
@@ -348,11 +286,12 @@ class TestGridPaths:
         den = 64
         table = TrigTable(den)
         idx = np.arange(den + 1, dtype=np.int64)
-        pref = iterated_grid_prefix(comp_b2, comp_b3, table, idx, [3, 6])
+        v = VectorWeierstrass([comp_b2, comp_b3])
+        _, upper = _grid_lift(v, [3, 6], table, idx, 0, idx)
         for N in (3, 6):
             for k in (0, 9, 40, 64):
                 want = iterated_integral_truncated(comp_b2, comp_b3, N, 0, Fraction(k, den))
-                assert pref[N][k] == pytest.approx(want, abs=2e-13)
+                assert upper[N][0, 1][k] == pytest.approx(want, abs=2e-13)
 
     def test_pairs_matches_scalar(self, comp_b2, comp_b3):
         den = 128
@@ -365,6 +304,11 @@ class TestGridPaths:
                 comp_b2, comp_b3, 5, Fraction(int(s_idx[k]), den), Fraction(int(t_idx[k]), den)
             )
             assert vals[k] == pytest.approx(want, abs=2e-13)
+
+    @pytest.mark.parametrize("N", [-1, 2.5, True])
+    def test_pairs_reject_invalid_level(self, comp_b2, comp_b3, N):
+        with pytest.raises(ParameterError, match="truncation level"):
+            iterated_pairs(comp_b2, comp_b3, N, TrigTable(8), np.array([0]), np.array([8]))
 
     def test_pairs_memory_stays_bounded(self, comp_b2, comp_b3):
         # N = 60 over 2,048 intervals: the N + 1 integrator arrays need about

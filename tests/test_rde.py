@@ -295,25 +295,18 @@ class TestRoughSolver:
         assert np.max(np.abs(part.values - full.values[:25])) <= 1e-12
 
     def test_lift_table_matches_direct_lift(self, fig_problem):
-        # both sides derive their diagonal and lower entries from level 1, so
-        # the second level is compared against all entries of iterated_pairs
-        from weierpath.iterated import iterated_pairs
-        from weierpath.phase import TrigTable
-        from weierpath.rde import _lift_table
-        from weierpath import lift_truncated
-
+        # the table derives its diagonal and lower entries from level 1, so
+        # the second level is compared against all entries summed pair by pair
         h = Fraction(1, 32)
-        first, second = _lift_table(fig_problem.driver, 5, h, 32)
+        first, second = rde_mod._lift_table(fig_problem.driver, 5, h, 32)
+        comps = fig_problem.driver.components
         for k in (0, 7, 31):
             inc = lift_truncated(fig_problem.driver, 5, h * k, h * (k + 1))
             assert np.allclose(first[k], inc.first, atol=1e-13)
-        table = TrigTable(32)
-        idx = np.arange(33, dtype=np.int64)
-        comps = fig_problem.driver.components
-        for i in range(2):
-            for j in range(2):
-                want = iterated_pairs(comps[i], comps[j], 5, table, idx[:-1], idx[1:])
-                assert np.allclose(second[:, i, j], want, atol=1e-13)
+            for i in range(2):
+                for j in range(2):
+                    want = iterated_integral_truncated(comps[i], comps[j], 5, h * k, h * (k + 1))
+                    assert np.allclose(second[k, i, j], want, atol=1e-13)
 
 
 class TestLiftTable:

@@ -21,11 +21,7 @@ from weierpath import (
     roughpath,
     validate_component,
 )
-from weierpath.iterated import (
-    iterated_grid_prefix,
-    iterated_integral_truncated,
-    iterated_pairs,
-)
+from weierpath.iterated import _BLOCK, iterated_integral_truncated, iterated_pairs
 from weierpath.phase import _MAX_TABLE_DEN, TrigTable
 from weierpath.rde import _lift_table
 from weierpath.roughpath import (
@@ -35,7 +31,7 @@ from weierpath.roughpath import (
     _resolve_level,
     _zero_dropped,
 )
-from weierpath.weierstrass import eval_truncated_grid, eval_vector
+from weierpath.weierstrass import _kahan_modes, eval_truncated_grid, eval_vector
 
 
 class TestLiftTruncated:
@@ -153,28 +149,30 @@ class TestGeometricSecondLevel:
         want = _all_entries(v, lambda ci, cj: iterated_integral_truncated(ci, cj, N, s, t))
         assert np.abs(inc.second - want).max() <= 1e-12
 
+    # the grid tables run the same kernel as iterated_pairs, so both are
+    # checked against the per-pair fsum sum on sampled steps and prefixes
     @given(v=_drivers, N=st.integers(0, 10), K=st.integers(1, 64), den_factor=st.integers(1, 16))
     def test_lift_table_steps(self, v, N, K, den_factor):
         h = Fraction(1, K * den_factor)
         first, second = _lift_table(v, N, h, K)
-        table = TrigTable(h.denominator)
-        idx = np.arange(K + 1, dtype=np.int64)
-        want = _all_entries(
-            v, lambda ci, cj: iterated_pairs(ci, cj, N, table, idx[:-1], idx[1:])
-        ).transpose(2, 0, 1)
-        assert second.shape == want.shape
-        assert np.abs(second - want).max() <= 1e-12
+        assert second.shape == (K, v.d, v.d)
+        for k in sorted({0, K // 2, K - 1}):
+            want = _all_entries(
+                v, lambda ci, cj: iterated_integral_truncated(ci, cj, N, h * k, h * (k + 1))
+            )
+            assert np.abs(second[k] - want).max() <= 1e-12
 
     @given(v=_drivers, levels=st.lists(st.integers(0, 10), min_size=1, max_size=3),
            depth=st.integers(1, 8))
     def test_level_table_prefixes(self, v, levels, depth):
         idx, W, Q = _level_tables(v, levels, depth)
-        table = TrigTable(1 << depth)
-        for i, ci in enumerate(v.components):
-            for j, cj in enumerate(v.components):
-                want = iterated_grid_prefix(ci, cj, table, idx, levels)
-                for N in levels:
-                    assert np.abs(Q[N][:, i, j] - want[N]).max() <= 1e-12
+        den = 1 << depth
+        for k in sorted({1, den // 3, den}):
+            for N in set(levels):
+                want = _all_entries(
+                    v, lambda ci, cj: iterated_integral_truncated(ci, cj, N, 0, Fraction(k, den))
+                )
+                assert np.abs(Q[N][k] - want).max() <= 1e-12
 
     # F(t) - F(s) telescopes, so the Chen relation holds for any mode-pair
     # coefficients; these two compare the kernel with the per-pair fsum sum.
@@ -329,6 +327,38 @@ class TestRoughNorm:
         assert set(d) >= {"holderPart", "areaPart", "alphaUsed", "gridSpec"}
 
 
+class TestLevelTablesOverBlocks:
+    """_level_tables at depth 12: the prefixes span four _BLOCK blocks."""
+
+    DEPTH = 12
+    LEVELS = [0, 5, 12, 30]
+
+    @pytest.fixture(scope="class")
+    def tables(self, figure_pair):
+        return _level_tables(figure_pair, self.LEVELS, self.DEPTH)
+
+    def test_first_level_keeps_the_grid_bits(self, figure_pair, tables):
+        idx, W, _ = tables
+        table = TrigTable(1 << self.DEPTH)
+        for i, c in enumerate(figure_pair.components):
+            for N in self.LEVELS:
+                assert np.array_equal(W[N][i], eval_truncated_grid(c, N, table, idx))
+
+    def test_partial_sums_equal_single_level_sums(self, comp_b3):
+        rows = np.random.default_rng(7).uniform(-1, 1, (31, 257))
+        sums = _kahan_modes(comp_b3.a, rows, (257,), self.LEVELS)
+        for N, got in zip(self.LEVELS, sums):
+            assert np.array_equal(got, _kahan_modes(comp_b3.a, rows, (257,), [N])[0])
+
+    @pytest.mark.parametrize("k", [_BLOCK - 1, _BLOCK, 2 * _BLOCK, 1 << DEPTH])
+    def test_prefixes_match_per_pair_sum(self, figure_pair, tables, k):
+        _, _, Q = tables
+        c1, c2 = figure_pair.components
+        for N in self.LEVELS:
+            want = iterated_integral_truncated(c1, c2, N, 0, Fraction(k, 1 << self.DEPTH))
+            assert abs(Q[N][k, 0, 1] - want) <= 1e-12
+
+
 class TestAreaHolderSup:
     def test_stability_across_levels(self, figure_pair):
         eps = 0.02
@@ -341,6 +371,13 @@ class TestAreaHolderSup:
     def test_per_entry_exponents_default(self, figure_pair):
         sups = area_holder_sup(figure_pair, [8], 0.02, 6)
         assert sups[8] > 0
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("levels", [[], [-1, 3], [2.5], [True]])
+    def test_invalid_levels_rejected(self, figure_pair, d, levels):
+        v = VectorWeierstrass(figure_pair.components[:d])
+        with pytest.raises(ParameterError, match="level"):
+            area_holder_sup(v, levels, 0.02, 4)
 
 
 class TestPairBlocks:
@@ -384,6 +421,11 @@ class TestConvergenceReport:
     def test_requires_two_levels(self, figure_pair):
         with pytest.raises(ParameterError, match="insufficient"):
             convergence_report(figure_pair, [4])
+
+    @pytest.mark.parametrize("Ns", [[-1, 4], [4, 6.5], [True, 4]])
+    def test_invalid_levels_rejected(self, figure_pair, Ns):
+        with pytest.raises(ParameterError, match="level"):
+            convergence_report(figure_pair, Ns, depth=4)
 
     def test_scalar_first_level_rate(self, comp_b2):
         # per-step ratio over Delta N = 2 stays below a^2 with 10% margin
