@@ -22,10 +22,13 @@ value is a bilinear form in 4(N + 1) exact trig values per time point
 
 C is rank one, so the cross term is a product of two mode sums.  Features
 are (modes, points) arrays: F comes from the matrix products (C*G)^T T1 and
-(C*H)^T U1, summed over modes against T2 and U2.  On a table grid one pass
-over blocks of intervals (_grid_lift) builds each point's features once
-and takes both levels from them, at several truncation levels at once; the
-rough solver's lift table, the sweep tables and iterated_pairs all run it.
+(C*H)^T U1, summed over modes against T2 and U2.  Every lift runs one pass
+over blocks of intervals (_grid_lift): it builds each point's features
+once and takes both levels from them, at several truncation levels at
+once.  _grid_lift alone chooses the features: table features when the
+grid denominator is at most _MAX_TABLE_DEN, exact scalar reductions
+otherwise.  Single lifts, limit values, the rough solver's lift table, the
+sweep tables and iterated_pairs all run it.
 elementary_integral keeps the Dcos_{k +- m} form of the same closed form
 and iterated_integral_truncated sums it pair by pair with math.fsum;
 together with the quadrature oracle they are the references the kernel is
@@ -197,8 +200,7 @@ def iterated_integral_truncated(c1: WeierstrassComponent, c2: WeierstrassCompone
     compensated summation (math.fsum).
     """
     phase = _require_same_phase(c1, c2)
-    if not isinstance(N, (int, np.integer)) or isinstance(N, bool) or N < 0:
-        raise ParameterError(f"truncation level N must be a nonnegative integer, got {N!r}")
+    N = _validate_level(N)
     s = unit_time(s)
     t = unit_time(t)
     if s > t:
@@ -311,7 +313,8 @@ def iterated_integral_limit(c1: WeierstrassComponent, c2: WeierstrassComponent,
             f"eps_prime must lie in (0, min alpha) = (0, {min_alpha:.6f}), got {eps_prime}"
         )
     n_used, bound = _tail_level(c1, c2, s, t, tol, eps_prime, n_cap)
-    return LimitResult(_truncated_pair(c1, c2, n_used, s, t), n_used, bound)
+    return LimitResult(_interval_upper(VectorWeierstrass([c1, c2]), n_used, s, t)[0, 1],
+                       n_used, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -388,37 +391,25 @@ def _levy_kernel(f1, f2, coef, s_pos, t_pos) -> np.ndarray:
     return F[t_pos] - F[s_pos] - p1[s_pos] * (p2[t_pos] - p2[s_pos])
 
 
-def _truncated_pair(c1: WeierstrassComponent, c2: WeierstrassComponent, N: int,
-                    s: Fraction, t: Fraction) -> float:
-    """I^N(s, t) for one interval through _levy_kernel.
-
-    The features come from a TrigTable over the common denominator when it
-    is at most _MAX_TABLE_DEN, and from scalar phase reductions otherwise.
-    """
-    den = math.lcm(s.denominator, t.denominator)
-    table, points = None, [s, t]
-    if den <= _MAX_TABLE_DEN:
-        table = TrigTable(den)
-        points = np.array([x.numerator * (den // x.denominator) for x in points], dtype=np.int64)
-    return float(_levy_kernel(_features(c1, N, points, table), _features(c2, N, points, table),
-                              _coefficients(c1, c2, N), [0], [1])[0])
-
-
-def _grid_lift(v: VectorWeierstrass, levels: list[int], table: TrigTable, idx: np.ndarray,
+def _grid_lift(v: VectorWeierstrass, levels: list[int], den: int, idx: np.ndarray,
                s_pos, t_pos) -> tuple[dict, dict]:
     """Both levels of the lift of v on the grid idx/den, for each N in the sorted levels.
 
     The intervals are (idx[s_pos], idx[t_pos]), and every point of idx is an
-    end of one.  One pass over blocks of _BLOCK intervals: a block builds
-    each component's features once, at the top level and at the distinct
-    points of its ends.  Level 1 is their Kahan sum in ascending n, read
-    after row N (_kahan_modes, bit for bit what eval_truncated_grid
+    end of one.  Features come from one TrigTable(den) when den is at most
+    _MAX_TABLE_DEN; otherwise each point is reduced exactly as the Fraction
+    idx[k]/den by the scalar branch of _features, so there idx must hold
+    exact Python ints.  One pass over blocks of _BLOCK intervals: a block
+    builds each component's features once, at the top level and at the
+    distinct points of its ends.  Level 1 is their Kahan sum in ascending
+    n, read after row N (_kahan_modes, bit for bit what eval_truncated_grid
     returns); the entry (i, j), i < j, is _levy_kernel on the leading
     N + 1 rows.  Returns W[N], shape (d, points), and upper[N][(i, j)],
     one value per interval.
     """
     cs = v.components
     top = levels[-1]
+    table = TrigTable(den) if den <= _MAX_TABLE_DEN else None
     coef = {(i, j): _coefficients(cs[i], cs[j], top) for i, j in combinations(range(v.d), 2)}
     s_pos, t_pos = np.broadcast_arrays(s_pos, t_pos)
     W = {N: np.empty((v.d, idx.size)) for N in levels}
@@ -427,7 +418,8 @@ def _grid_lift(v: VectorWeierstrass, levels: list[int], table: TrigTable, idx: n
         ends = np.concatenate([s_pos[lo : lo + _BLOCK], t_pos[lo : lo + _BLOCK]])
         pos, inv = np.unique(ends, return_inverse=True)
         half = ends.size // 2
-        f = [_features(c, top, idx[pos], table) for c in cs]
+        pts = idx[pos] if table is not None else [Fraction(int(k), den) for k in idx[pos]]
+        f = [_features(c, top, pts, table) for c in cs]
         for i, c in enumerate(cs):
             for N, w in zip(levels, _kahan_modes(c.a, f[i][0], pos.shape, levels)):
                 W[N][i, pos] = w
@@ -442,12 +434,25 @@ def _grid_lift(v: VectorWeierstrass, levels: list[int], table: TrigTable, idx: n
     return W, upper
 
 
+def _interval_upper(v: VectorWeierstrass, N: int, s: Fraction, t: Fraction) -> dict:
+    """The entries (i, j), i < j, of the level-N lift of v over [s, t], s < t.
+
+    One _grid_lift pass over the two ends serves every pair; it backs
+    lift_truncated and iterated_integral_limit.
+    """
+    den = math.lcm(s.denominator, t.denominator)
+    idx = np.array([x.numerator * (den // x.denominator) for x in (s, t)], dtype=object)
+    _, upper = _grid_lift(v, [N], den, idx, [0], [1])
+    return {p: float(a[0]) for p, a in upper[N].items()}
+
+
 def iterated_pairs(c1: WeierstrassComponent, c2: WeierstrassComponent, N: int,
                    table: TrigTable, s_idx: np.ndarray, t_idx: np.ndarray) -> np.ndarray:
     """I^N(s, t) vectorized over interval arrays (s_idx/den, t_idx/den).
 
     The distinct interval ends form the grid of one _grid_lift pass, which
-    sums all (N + 1)^2 mode pairs by _levy_kernel on table features.
+    sums all (N + 1)^2 mode pairs by _levy_kernel on table features; the
+    pass builds its own table over table.den.
     """
     _require_same_phase(c1, c2)
     N = _validate_level(N)
@@ -458,7 +463,7 @@ def iterated_pairs(c1: WeierstrassComponent, c2: WeierstrassComponent, N: int,
     if np.any(s_idx > t_idx):
         raise ParameterError("requires s <= t")
     idx, pos = np.unique(np.concatenate([s_idx.ravel(), t_idx.ravel()]), return_inverse=True)
-    _, upper = _grid_lift(VectorWeierstrass([c1, c2]), [N], table, idx,
+    _, upper = _grid_lift(VectorWeierstrass([c1, c2]), [N], table.den, idx,
                           pos[: s_idx.size], pos[s_idx.size :])
     return upper[N][0, 1].reshape(s_idx.shape)
 

@@ -214,10 +214,6 @@ class AffineNodes:
         """pi/den times the residues (r0 + j*c) mod 2*den for j = 0..n-1 (see _residues)."""
         return (np.pi / self.den) * _residues(r0, c, np.arange(n), 2 * self.den).astype(np.float64)
 
-    def angles(self, scale: int) -> np.ndarray:
-        """Reduced arguments scale*pi*t_j mod 2*pi, in [0, 2*pi)."""
-        return self._angles(scale * self.num0, scale * self.dnum, self.count)
-
     def _anchor_offset(self, scales: list[int]):
         """Anchor angles A[n, q] = w*pi*t_{q*R} and offsets B[n, r] = w*pi*r*step, w = scales[n].
 

@@ -17,14 +17,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .errors import ParameterError
 from .phase import AffineNodes, to_fraction
 
-__all__ = ["QuadratureResult", "integrate", "FloatIntegrand"]
+__all__ = ["QuadratureResult", "integrate"]
 
 _MAX_NODES = (1 << 22) + 1
 _NODES_PER_OSCILLATION = 8
@@ -35,16 +34,6 @@ class QuadratureResult:
     value: float
     error_estimate: float
     evaluations: int
-
-
-class FloatIntegrand:
-    """Adapter giving plain float callables the node-family interface."""
-
-    def __init__(self, fn: Callable[[np.ndarray], np.ndarray]):
-        self._fn = fn
-
-    def on_nodes(self, nodes: AffineNodes) -> np.ndarray:
-        return np.asarray(self._fn(nodes.times()), dtype=np.float64)
 
 
 def _composite_simpson(f: np.ndarray, width: float) -> float:

@@ -15,12 +15,12 @@ M(Y) = [T_1 Y | ... | T_d Y], so that every step is a d x d matrix acting on Y:
 
   that is Y <- (I + sum_j X^j T_j + sum_ij A^(i,j) T_j T_i) Y, consuming
   both levels of the lift increment over each step.  Increments come from a
-  uniform-grid lift table (_lift_table): the grid lift pass shared with the
-  sweeps (iterated._grid_lift) builds each grid point's trig features once
-  per block and takes from them the grid values, whose differences are the
-  first level, and the bilinear mode-pair kernel between consecutive points
-  for the entries i < j; the other entries follow from the first level
-  (roughpath._geometric_second).
+  uniform-grid lift table (_lift_table): the one lift pass of the package
+  (iterated._grid_lift), at any step denominator, builds each grid point's
+  trig features once per block and takes from them the grid values, whose
+  differences are the first level, and the bilinear mode-pair kernel
+  between consecutive points for the entries i < j; the other entries
+  follow from the first level (roughpath._geometric_second).
 
 Both share one propagator (_propagate): step matrices are built in blocks of
 whole output segments and each segment is reduced in fixed pairwise order.
@@ -39,8 +39,8 @@ import numpy as np
 
 from .errors import ParameterError
 from .iterated import _grid_lift
-from .phase import _MAX_TABLE_DEN, AffineNodes, TrigTable, to_fraction, unit_time
-from .roughpath import _geometric_second, _resolve_level, lift_truncated
+from .phase import AffineNodes, to_fraction, unit_time
+from .roughpath import _geometric_second, _resolve_level
 from .weierstrass import (
     TruncationPolicy,
     VectorWeierstrass,
@@ -339,22 +339,18 @@ def solve_ode_truncated(problem: RdeProblem, N: int, *, output_points: int = 102
 def _lift_table(driver: VectorWeierstrass, N: int, h: Fraction, K: int):
     """Per-step first and second level increments of the level-N lift.
 
-    For table-sized denominators the whole uniform grid is evaluated with
-    exact phases by one _grid_lift pass over the steps (k h, (k + 1) h):
-    the table features of each grid point are built once and give both the
-    grid values, whose differences are the first level, and the entries
-    i < j of the second level over each step.  Otherwise each step is a
-    lift_truncated on scalar features.
+    One _grid_lift pass over the steps (k h, (k + 1) h) evaluates the whole
+    uniform grid with exact phases: the features of each grid point are
+    built once and give both the grid values, whose differences are the
+    first level, and the entries i < j of the second level over each step.
+    The grid numerators k h.numerator are Python ints, since they pass 2^63
+    for steps such as Fraction(0.9) / K.
     """
-    den = (h / 1).denominator
-    if den <= _MAX_TABLE_DEN:
-        steps = np.arange(K + 1, dtype=np.int64)
-        W, upper = _grid_lift(driver, [N], TrigTable(den), h.numerator * steps,
-                              steps[:-1], steps[1:])
-        first = np.diff(W[N], axis=1).T  # (K, d)
-        return first, _geometric_second(first, upper[N])
-    incs = [lift_truncated(driver, N, h * k, h * (k + 1)) for k in range(K)]
-    return np.array([inc.first for inc in incs]), np.array([inc.second for inc in incs])
+    steps = np.arange(K + 1)
+    W, upper = _grid_lift(driver, [N], h.denominator, h.numerator * steps.astype(object),
+                          steps[:-1], steps[1:])
+    first = np.diff(W[N], axis=1).T  # (K, d)
+    return first, _geometric_second(first, upper[N])
 
 
 def solve_rough(problem: RdeProblem, truncation, step=None, *,

@@ -39,11 +39,11 @@ from .errors import ParameterError
 from .iterated import (
     DEFAULT_LIMIT_CAP,
     _grid_lift,
+    _interval_upper,
     _tail_level,
-    _truncated_pair,
     iterated_integral_limit,
 )
-from .phase import TrigTable, unit_time
+from .phase import unit_time
 from .weierstrass import (
     TruncationPolicy,
     VectorWeierstrass,
@@ -149,17 +149,17 @@ def _geometric_second(first: np.ndarray, upper: dict) -> np.ndarray:
 def lift_truncated(v: VectorWeierstrass, N: int, s, t) -> RoughIncrement:
     """Canonical lift of the level-N truncation over [s, t].
 
-    The first level is the increment of the truncated sums; the second
-    level sums the entries i < j and derives the rest (_geometric_second).
+    The first level is the increment of the truncated sums (eval_vector).
+    The entries i < j of the second level come from one _grid_lift pass
+    over the two ends for all pairs, run only when d > 1; the rest are
+    derived from the first level (_geometric_second).
     """
     s, t = _interval(s, t)
     d = v.d
     if s == t:
         return RoughIncrement(s=s, t=t, first=np.zeros(d), second=np.zeros((d, d)))
     first = eval_vector(v, N, t) - eval_vector(v, N, s)
-    cs = v.components
-    upper = {(i, j): _truncated_pair(cs[i], cs[j], N, s, t)
-             for i, j in combinations(range(d), 2)}
+    upper = _interval_upper(v, N, s, t) if d > 1 else {}
     return RoughIncrement(s=s, t=t, first=first, second=_geometric_second(first, upper))
 
 
@@ -256,7 +256,7 @@ def _level_tables(v: VectorWeierstrass, levels: Sequence[int], depth: int):
     levels = _validate_levels(levels)
     den = 1 << depth
     idx = np.arange(den + 1, dtype=np.int64)
-    W, upper = _grid_lift(v, levels, TrigTable(den), idx, 0, idx)
+    W, upper = _grid_lift(v, levels, den, idx, 0, idx)
     Q = {N: _geometric_second((W[N] - W[N][:, :1]).T, upper[N]) for N in levels}
     return idx, W, Q
 
@@ -372,9 +372,7 @@ def _fine_scale_area_sup(v: VectorWeierstrass, N: int, alpha: float, tables) -> 
 def _resolve_level(v: VectorWeierstrass, truncation) -> int:
     """Truncation level for a sweep: fixed N, or deep enough for the tolerance."""
     if isinstance(truncation, (int, np.integer)) and not isinstance(truncation, bool):
-        if truncation < 0:
-            raise ParameterError("truncation level must be nonnegative")
-        return int(truncation)
+        return _validate_level(truncation)
     if not isinstance(truncation, TruncationPolicy):
         raise ParameterError("truncation must be an int level or a TruncationPolicy")
     if truncation.mode == "fixed":

@@ -225,9 +225,7 @@ class TruncationPolicy:
 
     @staticmethod
     def fixed(N: int) -> "TruncationPolicy":
-        if not isinstance(N, int) or isinstance(N, bool) or N < 0:
-            raise ParameterError(f"truncation level N must be a nonnegative integer, got {N!r}")
-        return TruncationPolicy(mode="fixed", N=N)
+        return TruncationPolicy(mode="fixed", N=_validate_level(N))
 
     @staticmethod
     def tolerance(tol: float, eps_prime: float) -> "TruncationPolicy":

@@ -26,3 +26,8 @@ def figure_pair(comp_b2, comp_b3):
 
 def frac(p, q) -> Fraction:
     return Fraction(p, q)
+
+
+def affine_angles(nodes, scale: int):
+    """Reduced arguments scale*pi*t_j mod 2*pi of the AffineNodes family, in [0, 2*pi)."""
+    return nodes._angles(scale * nodes.num0, scale * nodes.dnum, nodes.count)

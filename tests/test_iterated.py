@@ -17,6 +17,7 @@ from weierpath import (
     elementary_integral_quadrature,
     iterated_integral_limit,
     iterated_integral_truncated,
+    lift_truncated,
     validate_component,
 )
 from weierpath.iterated import (
@@ -24,7 +25,6 @@ from weierpath.iterated import (
     _calibrate_tail_constant,
     _grid_lift,
     _mode_pair_gh,
-    _truncated_pair,
     geometric_tail_bound,
     iterated_pairs,
 )
@@ -237,8 +237,8 @@ def _audit_cases(draw):
 
 
 def _audit_gap(c1, c2, s, t, res):
-    deeper = _truncated_pair(c1, c2, res.n_used + _AUDIT_DEPTH, s, t)
-    return abs(res.value - deeper)
+    deeper = lift_truncated(VectorWeierstrass([c1, c2]), res.n_used + _AUDIT_DEPTH, s, t)
+    return abs(res.value - deeper.second[0, 1])
 
 
 class TestTailAudit:
@@ -284,10 +284,9 @@ def test_mode_pair_gh_matches_per_entry_formula(b1, b2):
 class TestGridPaths:
     def test_prefix_matches_scalar(self, comp_b2, comp_b3):
         den = 64
-        table = TrigTable(den)
         idx = np.arange(den + 1, dtype=np.int64)
         v = VectorWeierstrass([comp_b2, comp_b3])
-        _, upper = _grid_lift(v, [3, 6], table, idx, 0, idx)
+        _, upper = _grid_lift(v, [3, 6], den, idx, 0, idx)
         for N in (3, 6):
             for k in (0, 9, 40, 64):
                 want = iterated_integral_truncated(comp_b2, comp_b3, N, 0, Fraction(k, den))

@@ -8,6 +8,8 @@ from hypothesis import given, strategies as st
 
 from weierpath.phase import AffineNodes, TrigTable, _residues, cos_pi, phase_mod2, sin_pi
 
+from conftest import affine_angles
+
 TOL = 4e-15
 
 
@@ -31,7 +33,7 @@ def _scalar_reference(nodes: AffineNodes, start: Fraction, step: Fraction, scale
 )
 def test_matches_libm_on_reduced_angles(start_num, start_den, step_num, step_den, count, scale):
     nodes = AffineNodes(Fraction(start_num, start_den), Fraction(step_num, step_den), count)
-    ang = nodes.angles(scale)
+    ang = affine_angles(nodes, scale)
     s, c = nodes.sin_scaled(scale), nodes.cos_scaled(scale)
     assert s.shape == c.shape == (count,)
     assert np.max(np.abs(s - np.sin(ang))) <= TOL
@@ -56,7 +58,7 @@ def test_big_denominator_fallback(count):
     assert 2 * nodes.den > 1 << 61
     for scale in (3**5, 3**41, 2**31 * 3**40 + 1):
         ref_sin, ref_cos = _scalar_reference(nodes, start, step, scale)
-        ang = nodes.angles(scale)
+        ang = affine_angles(nodes, scale)
         assert np.max(np.abs(nodes.sin_scaled(scale) - ref_sin)) <= TOL
         assert np.max(np.abs(nodes.cos_scaled(scale) - ref_cos)) <= TOL
         assert np.max(np.abs(nodes.sin_scaled(scale) - np.sin(ang))) <= TOL

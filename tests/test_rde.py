@@ -339,6 +339,20 @@ class TestLiftTable:
             want = iterated_integral_truncated(c1, c2, N, h * k, h * (k + 1))
             assert abs(second[k, 0, 1] - want) <= 1e-12
 
+    # with h = Fraction(0.9) / K the grid numerators k h.numerator pass 2^63
+    # from k = 1,138 on, so the scalar path must keep them exact
+    def test_scalar_path_keeps_exact_indices(self, figure_pair):
+        N, h = 10, Fraction(0.9) / self.K
+        assert h.numerator * self.K >= 1 << 63
+        first, second = rde_mod._lift_table(figure_pair, N, h, self.K)
+        c1, c2 = figure_pair.components
+        for k in (0, _BLOCK, 2 * _BLOCK, self.K - 1):
+            want = iterated_integral_truncated(c1, c2, N, h * k, h * (k + 1))
+            assert abs(second[k, 0, 1] - want) <= 1e-12
+            inc = [eval_truncated(c, N, h * (k + 1)) - eval_truncated(c, N, h * k)
+                   for c in figure_pair.components]
+            assert np.max(np.abs(first[k] - inc)) <= 1e-13
+
     @pytest.mark.parametrize("t_end", [Fraction(1), Fraction(3, 4), Fraction(7, 10)])
     def test_output_times_are_the_rounded_fractions(self, figure_pair, t_end):
         problem = RdeProblem(ZeroField(2), figure_pair, np.array([1.0, 0.0]), t_end=t_end)

@@ -98,6 +98,37 @@ class TestLiftLimit:
             lift_limit(figure_pair, TruncationPolicy.tolerance(1e-30, 0.1), 0, 1)
 
 
+class TestTableBuilds:
+    """Single lifts build at most one TrigTable, and only when a pair i < j needs it."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        dens = []
+        init = TrigTable.__init__
+
+        def counting(table, den):
+            dens.append(den)
+            init(table, den)
+
+        monkeypatch.setattr(TrigTable, "__init__", counting)
+        return dens
+
+    def test_one_table_serves_every_pair(self, built):
+        v = VectorWeierstrass([validate_component(b, a=a) for b, a, _ in _DERIVED_DRIVERS["d3"]])
+        lift_truncated(v, 6, Fraction(3, 40), Fraction(31, 40))
+        assert built == [40]
+
+    def test_no_table_without_a_pair(self, built, comp_b2):
+        lift_truncated(VectorWeierstrass([comp_b2]), 6, Fraction(3, 40), Fraction(31, 40))
+        assert built == []
+
+    def test_limit_lift_above_the_table_range(self, built, figure_pair):
+        den = _MAX_TABLE_DEN + 7
+        lift_limit(figure_pair, TruncationPolicy.tolerance(1e-7, 0.1),
+                   Fraction(123457, den), Fraction(900001, den))
+        assert built == []
+
+
 # Drivers whose derived second-level entries are checked against entries
 # summed independently: the figure pair, dependent bases (m == k occurs),
 # equal bases, the sine phase, and d = 3.
@@ -273,6 +304,10 @@ class TestRoughNorm:
     def test_depth_guard(self, figure_pair):
         with pytest.raises(ParameterError, match="depth"):
             rough_norm(figure_pair, 10, 0.46, 15)
+
+    def test_negative_level_rejected(self, figure_pair):
+        with pytest.raises(ParameterError, match="truncation level"):
+            rough_norm(figure_pair, -1, 0.46, 8)
 
     def test_scalar_component_stability_in_level(self, comp_b2):
         v = VectorWeierstrass([comp_b2])

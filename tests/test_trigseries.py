@@ -18,6 +18,8 @@ from weierpath import (
     validate_component,
 )
 from weierpath.quadrature import integrate
+
+from conftest import affine_angles
 from weierpath.trigseries import _mixed_elementary
 
 
@@ -70,8 +72,8 @@ class TestIteratedIntegralPartial:
                     fv = np.zeros(nodes.count, dtype=complex)
                     gp = np.zeros(nodes.count, dtype=complex)
                     for n in range(1, N + 1):
-                        a1 = nodes.angles(comp_b2.b**n)
-                        a2 = nodes.angles(comp_b3.b**n)
+                        a1 = affine_angles(nodes, comp_b2.b**n)
+                        a2 = affine_angles(nodes, comp_b3.b**n)
                         fv += comp_b2.a**n * (np.cos(a1) + 1j * np.sin(a1))
                         gp += comp_b3.a**n * (1j * comp_b3.b**n * np.pi) * (np.cos(a2) + 1j * np.sin(a2))
                     prod = fv * gp
@@ -175,7 +177,7 @@ class TestMixedElementary:
 
         class I:
             def on_nodes(self, nodes):
-                am, ak = nodes.angles(m), nodes.angles(k)
+                am, ak = affine_angles(nodes, m), affine_angles(nodes, k)
                 lead = np.cos(am) if kind[0] == "c" else np.sin(am)
                 dint = (k * np.pi) * (np.cos(ak) if kind[1] == "s" else -np.sin(ak))
                 return lead * dint

@@ -91,6 +91,7 @@ class TestVectorWeierstrass:
 class TestTruncationPolicy:
     def test_fixed_validation(self):
         assert TruncationPolicy.fixed(5).N == 5
+        assert TruncationPolicy.fixed(np.int64(5)).N == 5
         with pytest.raises(ParameterError):
             TruncationPolicy.fixed(-1)
 
