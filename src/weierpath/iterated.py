@@ -27,8 +27,12 @@ over blocks of intervals (_grid_lift): it builds each point's features
 once and takes both levels from them, at several truncation levels at
 once.  _grid_lift alone chooses the features: table features when the
 grid denominator is at most _MAX_TABLE_DEN, exact scalar reductions
-otherwise.  Single lifts, limit values, the rough solver's lift table, the
-sweep tables and iterated_pairs all run it.
+otherwise.  On a grid k/den a mode of scale w enters only through the
+residue w mod 2 den, so modes with equal residues have equal feature rows
+(for b = 2 and den = 8,192, every n >= 14 has residue 0).  The pass builds
+one row per residue class and adds a, C*G and C*H over the classes; G and
+H keep the true m and k.  Single lifts, limit values, the rough solver's
+lift table, the sweep tables and iterated_pairs all run it.
 elementary_integral keeps the Dcos_{k +- m} form of the same closed form
 and iterated_integral_truncated sums it pair by pair with math.fsum;
 together with the quadrature oracle they are the references the kernel is
@@ -255,7 +259,8 @@ def _calibrate_tail_constant(c1: WeierstrassComponent, c2: WeierstrassComponent,
     closed form of _levy_kernel, taken entry by entry.  The tail claim is
     validated a posteriori in the tests by deepening N.
     """
-    (T1, U1), (T2, U2) = ([x.T for x in _features(c, pilot, [s, t])] for c in (c1, c2))
+    (T1, U1), (T2, U2) = ([x.T for x in _features(c, [c.b**n for n in range(pilot + 1)], [s, t])]
+                          for c in (c1, c2))
     G, H = _mode_pair_gh(c1.b, c2.b, pilot)
     J = (G * (np.outer(T1[1], T2[1]) - np.outer(T1[0], T2[0]))
          + H * (np.outer(U1[1], U2[1]) - np.outer(U1[0], U2[0]))
@@ -313,8 +318,8 @@ def iterated_integral_limit(c1: WeierstrassComponent, c2: WeierstrassComponent,
             f"eps_prime must lie in (0, min alpha) = (0, {min_alpha:.6f}), got {eps_prime}"
         )
     n_used, bound = _tail_level(c1, c2, s, t, tol, eps_prime, n_cap)
-    return LimitResult(_interval_upper(VectorWeierstrass([c1, c2]), n_used, s, t)[0, 1],
-                       n_used, bound)
+    upper = _interval_upper(VectorWeierstrass([c1, c2]), [n_used], s, t)
+    return LimitResult(upper[n_used][0, 1], n_used, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -323,15 +328,33 @@ def iterated_integral_limit(c1: WeierstrassComponent, c2: WeierstrassComponent,
 _BLOCK = 1024  # intervals per _grid_lift block; bounds the feature arrays
 
 
-def _features(c: WeierstrassComponent, N: int, points, table: Optional[TrigTable] = None):
-    """(T, U): T = trig(b^n pi x) in c's phase, U the other one, for n <= N.
+def _mode_classes(b: int, top: int, two_den: int) -> tuple[list[int], np.ndarray]:
+    """The residue classes of the scales b^n mod two_den, n <= top.
 
-    Both are C-contiguous (N + 1, points) arrays.  With a table, points are
-    grid indices k (x = k/den), reduced for all modes by one _residues call
-    that serves both gathers; without one, points are Fraction times,
-    reduced exactly by phase_mod2 and evaluated by cos_pi and sin_pi.
+    Returns the distinct residues, one per class, and each mode's class.
+    Classes are numbered in order of first occurrence, so the classes of the
+    modes n <= N are the leading ones at every level N.
     """
-    scales = [c.b**n for n in range(N + 1)]
+    first: dict[int, int] = {}
+    cls = []
+    r = 1 % two_den
+    for _ in range(top + 1):
+        cls.append(first.setdefault(r, len(first)))
+        r = r * b % two_den
+    return list(first), np.array(cls)
+
+
+def _features(c: WeierstrassComponent, scales: list[int], points, table: Optional[TrigTable] = None):
+    """(T, U): T = trig(w pi x) in c's phase, U the other one, one row per scale w.
+
+    Both are C-contiguous (scales, points) arrays.  With a table, points are
+    grid indices k (x = k/den), reduced for all scales by one _residues call
+    that serves both gathers; without one, points are Fraction times,
+    reduced exactly by phase_mod2 and evaluated by cos_pi and sin_pi.  On a
+    grid over den a mode of scale b^n enters only through b^n mod 2 den, so
+    _grid_lift passes one scale per residue class (_mode_classes) and the
+    modes of a class share its row.
+    """
     if table is None:
         phases = [[phase_mod2(w, x) for x in points] for w in scales]
         cos_vals = np.array([[cos_pi(p) for p in row] for row in phases])
@@ -355,16 +378,35 @@ def _mode_pair_gh(b1: int, b2: int, N: int) -> tuple[np.ndarray, np.ndarray]:
     return G, H
 
 
-def _coefficients(c1: WeierstrassComponent, c2: WeierstrassComponent, N: int):
-    """(a1^n), (a2^ell), (C*G)^T and (C*H)^T, C = a1^n a2^ell: the coefficients of _levy_kernel.
+def _class_sums(cls: np.ndarray, N: int) -> np.ndarray:
+    """The 0/1 (classes, modes) matrix that adds the modes n <= N of each residue class."""
+    cls = cls[: N + 1]
+    return np.equal.outer(np.arange(cls.max() + 1), cls).astype(np.float64)
 
-    The transposed products are C-contiguous, indexed (ell, n).
+
+def _coefficients(c1: WeierstrassComponent, c2: WeierstrassComponent, levels: list[int],
+                  cls1: np.ndarray, cls2: np.ndarray) -> dict:
+    """The coefficients of _levy_kernel per sorted level N, summed over residue classes.
+
+    They are (a1^n), (a2^ell), (C*G)^T and (C*H)^T, C = a1^n a2^ell; cls1
+    and cls2 give each mode's class (_mode_classes).  Entries of the
+    modes n, ell <= N are added over their classes along both axes, so the
+    arrays have one entry per class row of _features; G and H keep the
+    true m and k, m == k included.  The transposed products are
+    C-contiguous, indexed (ell class, n class).
     """
-    a1 = np.array([c1.a**n for n in range(N + 1)])
-    a2 = np.array([c2.a**ell for ell in range(N + 1)])
-    G, H = _mode_pair_gh(c1.b, c2.b, N)
+    top = levels[-1]
+    a1 = np.array([c1.a**n for n in range(top + 1)])
+    a2 = np.array([c2.a**ell for ell in range(top + 1)])
+    G, H = _mode_pair_gh(c1.b, c2.b, top)
     C = np.outer(a1, a2)
-    return a1, a2, np.ascontiguousarray((C * G).T), np.ascontiguousarray((C * H).T)
+    CGt, CHt = (C * G).T, (C * H).T
+    out = {}
+    for N in levels:
+        S1, S2 = _class_sums(cls1, N), _class_sums(cls2, N)
+        cut = slice(N + 1)
+        out[N] = (S1 @ a1[cut], S2 @ a2[cut], S2 @ CGt[cut, cut] @ S1.T, S2 @ CHt[cut, cut] @ S1.T)
+    return out
 
 
 def _mode_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -391,6 +433,18 @@ def _levy_kernel(f1, f2, coef, s_pos, t_pos) -> np.ndarray:
     return F[t_pos] - F[s_pos] - p1[s_pos] * (p2[t_pos] - p2[s_pos])
 
 
+def _block_points(ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct values of the int array ends, and the index of each end among them.
+
+    One scatter over the range [min, max] of ends finds them without a
+    sort; a block's ends lie on its grid, so that range is at most the grid.
+    """
+    lo = ends.min()
+    seen = np.zeros(ends.max() - lo + 1, dtype=bool)
+    seen[ends - lo] = True
+    return np.flatnonzero(seen) + lo, (np.cumsum(seen) - 1)[ends - lo]
+
+
 def _grid_lift(v: VectorWeierstrass, levels: list[int], den: int, idx: np.ndarray,
                s_pos, t_pos) -> tuple[dict, dict]:
     """Both levels of the lift of v on the grid idx/den, for each N in the sorted levels.
@@ -399,51 +453,56 @@ def _grid_lift(v: VectorWeierstrass, levels: list[int], den: int, idx: np.ndarra
     end of one.  Features come from one TrigTable(den) when den is at most
     _MAX_TABLE_DEN; otherwise each point is reduced exactly as the Fraction
     idx[k]/den by the scalar branch of _features, so there idx must hold
-    exact Python ints.  One pass over blocks of _BLOCK intervals: a block
-    builds each component's features once, at the top level and at the
-    distinct points of its ends.  Level 1 is their Kahan sum in ascending
-    n, read after row N (_kahan_modes, bit for bit what eval_truncated_grid
-    returns); the entry (i, j), i < j, is _levy_kernel on the leading
-    N + 1 rows.  Returns W[N], shape (d, points), and upper[N][(i, j)],
+    exact ints (int64 or Python ints).  A mode of scale b^n enters only
+    through its residue b^n mod 2 den: the modes of each component are
+    grouped into residue classes once (_mode_classes), and _coefficients
+    adds their coefficients per class and level.  One pass over blocks of
+    _BLOCK intervals: a block builds each component's features once, one
+    row per class, at the distinct points of its ends (_block_points).
+    Level 1 is the Kahan sum of the class rows of the modes in ascending n,
+    read after row N (_kahan_modes, bit for bit what eval_truncated_grid
+    returns); the entry (i, j), i < j, is _levy_kernel on the leading class
+    rows of level N.  Returns W[N], shape (d, points), and upper[N][(i, j)],
     one value per interval.
     """
     cs = v.components
     top = levels[-1]
     table = TrigTable(den) if den <= _MAX_TABLE_DEN else None
-    coef = {(i, j): _coefficients(cs[i], cs[j], top) for i, j in combinations(range(v.d), 2)}
+    classes = [_mode_classes(c.b, top, 2 * den) for c in cs]
+    coef = {(i, j): _coefficients(cs[i], cs[j], levels, classes[i][1], classes[j][1])
+            for i, j in combinations(range(v.d), 2)}
     s_pos, t_pos = np.broadcast_arrays(s_pos, t_pos)
     W = {N: np.empty((v.d, idx.size)) for N in levels}
     upper = {N: {p: np.empty(t_pos.size) for p in coef} for N in levels}
     for lo in range(0, t_pos.size, _BLOCK):
-        ends = np.concatenate([s_pos[lo : lo + _BLOCK], t_pos[lo : lo + _BLOCK]])
-        pos, inv = np.unique(ends, return_inverse=True)
-        half = ends.size // 2
+        pos, inv = _block_points(np.concatenate([s_pos[lo : lo + _BLOCK], t_pos[lo : lo + _BLOCK]]))
+        half = inv.size // 2
         pts = idx[pos] if table is not None else [Fraction(int(k), den) for k in idx[pos]]
-        f = [_features(c, top, pts, table) for c in cs]
+        f = [_features(c, residues, pts, table) for c, (residues, _) in zip(cs, classes)]
         for i, c in enumerate(cs):
-            for N, w in zip(levels, _kahan_modes(c.a, f[i][0], pos.shape, levels)):
+            rows = (f[i][0][k] for k in classes[i][1])
+            for N, w in zip(levels, _kahan_modes(c.a, rows, pos.shape, levels)):
                 W[N][i, pos] = w
-        for (i, j), (a1, a2, CGt, CHt) in coef.items():
-            for N in levels:
-                cut = slice(N + 1)
+        for (i, j), by_level in coef.items():
+            for N, (a1, a2, CGt, CHt) in by_level.items():
                 upper[N][i, j][lo : lo + half] = _levy_kernel(
-                    [x[cut] for x in f[i]], [x[cut] for x in f[j]],
-                    (a1[cut], a2[cut], CGt[cut, cut], CHt[cut, cut]), inv[:half], inv[half:],
+                    [x[: a1.size] for x in f[i]], [x[: a2.size] for x in f[j]],
+                    (a1, a2, CGt, CHt), inv[:half], inv[half:],
                 )
         del f  # freed before the next block's features are built
     return W, upper
 
 
-def _interval_upper(v: VectorWeierstrass, N: int, s: Fraction, t: Fraction) -> dict:
-    """The entries (i, j), i < j, of the level-N lift of v over [s, t], s < t.
+def _interval_upper(v: VectorWeierstrass, levels: list[int], s: Fraction, t: Fraction) -> dict:
+    """The entries (i, j), i < j, of the lift of v over [s, t], s < t, at each sorted level N.
 
-    One _grid_lift pass over the two ends serves every pair; it backs
-    lift_truncated and iterated_integral_limit.
+    One _grid_lift pass over the two ends serves every pair and level; it
+    backs lift_truncated, lift_limit and iterated_integral_limit.
     """
     den = math.lcm(s.denominator, t.denominator)
     idx = np.array([x.numerator * (den // x.denominator) for x in (s, t)], dtype=object)
-    _, upper = _grid_lift(v, [N], den, idx, [0], [1])
-    return {p: float(a[0]) for p, a in upper[N].items()}
+    _, upper = _grid_lift(v, levels, den, idx, [0], [1])
+    return {N: {p: float(a[0]) for p, a in by_pair.items()} for N, by_pair in upper.items()}
 
 
 def iterated_pairs(c1: WeierstrassComponent, c2: WeierstrassComponent, N: int,
@@ -451,8 +510,9 @@ def iterated_pairs(c1: WeierstrassComponent, c2: WeierstrassComponent, N: int,
     """I^N(s, t) vectorized over interval arrays (s_idx/den, t_idx/den).
 
     The distinct interval ends form the grid of one _grid_lift pass, which
-    sums all (N + 1)^2 mode pairs by _levy_kernel on table features; the
-    pass builds its own table over table.den.
+    sums all (N + 1)^2 mode pairs, merged into residue classes, by
+    _levy_kernel on table features; the pass builds its own table over
+    table.den.
     """
     _require_same_phase(c1, c2)
     N = _validate_level(N)

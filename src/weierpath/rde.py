@@ -343,12 +343,13 @@ def _lift_table(driver: VectorWeierstrass, N: int, h: Fraction, K: int):
     uniform grid with exact phases: the features of each grid point are
     built once and give both the grid values, whose differences are the
     first level, and the entries i < j of the second level over each step.
-    The grid numerators k h.numerator are Python ints, since they pass 2^63
-    for steps such as Fraction(0.9) / K.
+    The grid numerators k h.numerator are at most h.denominator, since
+    K h <= 1: int64 when h.denominator < 2^63, else Python ints, which
+    steps such as Fraction(0.9) / K need.
     """
     steps = np.arange(K + 1)
-    W, upper = _grid_lift(driver, [N], h.denominator, h.numerator * steps.astype(object),
-                          steps[:-1], steps[1:])
+    num = steps if h.denominator < 1 << 63 else steps.astype(object)
+    W, upper = _grid_lift(driver, [N], h.denominator, h.numerator * num, steps[:-1], steps[1:])
     first = np.diff(W[N], axis=1).T  # (K, d)
     return first, _geometric_second(first, upper[N])
 

@@ -41,7 +41,6 @@ from .iterated import (
     _grid_lift,
     _interval_upper,
     _tail_level,
-    iterated_integral_limit,
 )
 from .phase import unit_time
 from .weierstrass import (
@@ -159,17 +158,20 @@ def lift_truncated(v: VectorWeierstrass, N: int, s, t) -> RoughIncrement:
     if s == t:
         return RoughIncrement(s=s, t=t, first=np.zeros(d), second=np.zeros((d, d)))
     first = eval_vector(v, N, t) - eval_vector(v, N, s)
-    upper = _interval_upper(v, N, s, t) if d > 1 else {}
+    upper = _interval_upper(v, [N], s, t)[N] if d > 1 else {}
     return RoughIncrement(s=s, t=t, first=first, second=_geometric_second(first, upper))
 
 
 def lift_limit(v: VectorWeierstrass, policy: TruncationPolicy, s, t) -> RoughIncrement:
     """Limit lift over [s, t]: tail-exact first level, tolerance-bounded second.
 
-    The entries i < j are iterated_integral_limit values; the rest follow
-    from the first level (_geometric_second).  Requires every component
-    exponent above 1/3 (the validity range of the level-2 lift); the error
-    message names the offending component.
+    Each entry i < j is read at its own level, the smallest N whose
+    empirical tail bound on [s, t] is within the tolerance (_tail_level, as
+    in iterated_integral_limit); one _interval_upper pass at the distinct
+    levels serves every pair.  The rest follow from the first level
+    (_geometric_second).  Requires every component exponent above 1/3 (the
+    validity range of the level-2 lift); the error message names the
+    offending component.
     """
     s, t = _interval(s, t)
     v.require_lift_range()
@@ -181,9 +183,11 @@ def lift_limit(v: VectorWeierstrass, policy: TruncationPolicy, s, t) -> RoughInc
         return RoughIncrement(s=s, t=t, first=np.zeros(d), second=np.zeros((d, d)))
     first = np.array([eval_limit(c, t) - eval_limit(c, s) for c in v.components])
     cs = v.components
-    upper = {(i, j): iterated_integral_limit(cs[i], cs[j], s, t, tol=policy.tol,
-                                             eps_prime=policy.eps_prime).value
+    level = {(i, j): _tail_level(cs[i], cs[j], s, t, policy.tol, policy.eps_prime,
+                                 DEFAULT_LIMIT_CAP)[0]
              for i, j in combinations(range(d), 2)}
+    by_level = _interval_upper(v, sorted(set(level.values())), s, t) if level else {}
+    upper = {p: by_level[N][p] for p, N in level.items()}
     return RoughIncrement(s=s, t=t, first=first, second=_geometric_second(first, upper))
 
 

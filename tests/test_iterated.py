@@ -22,14 +22,17 @@ from weierpath import (
 )
 from weierpath.iterated import (
     DEFAULT_LIMIT_CAP,
+    _block_points,
     _calibrate_tail_constant,
     _grid_lift,
+    _mode_classes,
     _mode_pair_gh,
     geometric_tail_bound,
     iterated_pairs,
 )
-from weierpath.phase import TrigTable, cos_pi, phase_mod2
+from weierpath.phase import _MAX_TABLE_DEN, TrigTable, cos_pi, phase_mod2
 from weierpath.quadrature import integrate
+from weierpath.weierstrass import eval_truncated_grid
 
 
 class TestElementaryIntegral:
@@ -332,6 +335,65 @@ class TestGridPaths:
         vals = iterated_pairs(c1, c2, 4, table, np.array([8]), np.array([48]))
         want = iterated_integral_truncated(c1, c2, 4, Fraction(8, den), Fraction(48, den))
         assert vals[0] == pytest.approx(want, abs=2e-13)
+
+
+class TestResidueClasses:
+    """_grid_lift builds one feature row per residue b^n mod 2 den and adds coefficients per class.
+
+    Each pass is checked against the per-pair math.fsum sum at every level
+    of one pass; the levels are chosen so that the classes of base 2 split
+    differently per level (n >= 14 share residue 0 at den 8,192, and n >= 11
+    alternate between two residues at den 3,072), and at den 1 every mode
+    of base 3 has residue 1.  With equal bases, m == k (G = 1/2) occurs
+    inside a merged class.
+    """
+
+    LEVELS = [5, 16, 24]
+
+    @pytest.mark.parametrize("phase", ["cos", "sin"])
+    @pytest.mark.parametrize("den", [8192, 3072, 1])
+    @pytest.mark.parametrize("b1,b2", [(2, 3), (2, 4), (3, 3)])
+    def test_pass_matches_per_pair_sum(self, b1, b2, den, phase):
+        c1 = validate_component(b1, a="18/25", phase=phase)
+        c2 = validate_component(b2, a="3/5", phase=phase)
+        ends = [(0, 1)] if den == 1 else [(1, den - 1), (den // 3, den), (0, 7)]
+        idx, pos = np.unique(np.array(ends), return_inverse=True)
+        pos = pos.reshape(-1, 2)
+        W, upper = _grid_lift(VectorWeierstrass([c1, c2]), self.LEVELS, den, idx,
+                              pos[:, 0], pos[:, 1])
+        table = TrigTable(den)
+        for N in self.LEVELS:
+            for k, (s, t) in enumerate(ends):
+                want = iterated_integral_truncated(c1, c2, N, Fraction(s, den), Fraction(t, den))
+                assert abs(upper[N][0, 1][k] - want) <= 1e-13
+            for i, c in enumerate((c1, c2)):
+                assert np.array_equal(W[N][i], eval_truncated_grid(c, N, table, idx))
+
+    def test_classes_split_per_level(self):
+        residues, cls = _mode_classes(2, 24, 2 * 3072)
+        assert residues == [1 << n for n in range(13)]
+        assert cls.tolist() == list(range(13)) + [11, 12] * 6
+        assert [int(cls[: N + 1].max()) + 1 for N in self.LEVELS] == [6, 13, 13]
+        assert _mode_classes(3, 24, 2)[0] == [1]
+
+    def test_scalar_branch_merges_classes(self, comp_b2, comp_b3):
+        # 2 den = 3 * 2^21: 2^n for n >= 21 alternates between 2^21 and 2^22
+        den = 3 << 20
+        assert den > _MAX_TABLE_DEN and len(_mode_classes(2, 24, 2 * den)[0]) == 23
+        idx = np.array([12345, den - 999], dtype=object)
+        _, upper = _grid_lift(VectorWeierstrass([comp_b2, comp_b3]), [10, 24], den, idx, [0], [1])
+        for N in (10, 24):
+            want = iterated_integral_truncated(comp_b2, comp_b3, N, Fraction(12345, den),
+                                               Fraction(den - 999, den))
+            assert abs(upper[N][0, 1][0] - want) <= 1e-13
+
+
+@given(ends=st.lists(st.integers(0, 5000), min_size=1, max_size=64))
+def test_block_points_are_the_unique_ends(ends):
+    ends = np.array(ends, dtype=np.int64)
+    pos, inv = _block_points(ends)
+    want_pos, want_inv = np.unique(ends, return_inverse=True)
+    assert np.array_equal(pos, want_pos) and np.array_equal(inv, want_inv)
 
 
 class TestBoundDiagnostics:

@@ -363,6 +363,44 @@ class TestLiftTable:
         assert path.times.tolist() == [float(h * (stride * m)) for m in range(K // stride + 1)]
 
 
+class TestLiftTableRows:
+    """What the lift table gathers per block, and its int64 grid numerators."""
+
+    def test_one_row_per_residue_class(self, figure_pair, monkeypatch):
+        # at den 8,192, 2^n mod 2^14 is 0 for every n >= 14: 15 classes of
+        # base 2 over n <= 73, while the 74 powers of 3 stay distinct
+        rows, dtypes = [], []
+        gather, grid_lift = TrigTable.cos_sin_scaled, rde_mod._grid_lift
+
+        def counting(table, scale, idx):
+            rows.append(len(scale))
+            return gather(table, scale, idx)
+
+        def recording(v, levels, den, idx, s_pos, t_pos):
+            dtypes.append(idx.dtype)
+            return grid_lift(v, levels, den, idx, s_pos, t_pos)
+
+        monkeypatch.setattr(TrigTable, "cos_sin_scaled", counting)
+        monkeypatch.setattr(rde_mod, "_grid_lift", recording)
+        rde_mod._lift_table(figure_pair, 73, Fraction(1, 8192), 2 * _BLOCK + 100)
+        assert rows == [15, 74] * 3
+        assert dtypes == [np.int64]
+
+    def test_int64_numerators_up_to_the_denominator(self, figure_pair):
+        # h.denominator just below 2^63: the last grid numerator 3 h.numerator
+        # is within it, so int64 holds every numerator exactly
+        h = Fraction((1 << 63) - 26, 3 * ((1 << 63) - 25))
+        assert (1 << 62) < h.denominator < 1 << 63 and 3 * h <= 1
+        first, second = rde_mod._lift_table(figure_pair, 8, h, 3)
+        c1, c2 = figure_pair.components
+        for k in range(3):
+            want = iterated_integral_truncated(c1, c2, 8, h * k, h * (k + 1))
+            assert abs(second[k, 0, 1] - want) <= 1e-13
+            inc = [eval_truncated(c, 8, h * (k + 1)) - eval_truncated(c, 8, h * k)
+                   for c in figure_pair.components]
+            assert np.max(np.abs(first[k] - inc)) <= 1e-13
+
+
 class TestApproximationGap:
     def test_single_level_empty(self, fig_problem):
         assert approximation_gap(fig_problem, [4]) == []

@@ -21,7 +21,12 @@ from weierpath import (
     roughpath,
     validate_component,
 )
-from weierpath.iterated import _BLOCK, iterated_integral_truncated, iterated_pairs
+from weierpath.iterated import (
+    _BLOCK,
+    iterated_integral_limit,
+    iterated_integral_truncated,
+    iterated_pairs,
+)
 from weierpath.phase import _MAX_TABLE_DEN, TrigTable
 from weierpath.rde import _lift_table
 from weierpath.roughpath import (
@@ -121,6 +126,17 @@ class TestTableBuilds:
     def test_no_table_without_a_pair(self, built, comp_b2):
         lift_truncated(VectorWeierstrass([comp_b2]), 6, Fraction(3, 40), Fraction(31, 40))
         assert built == []
+
+    def test_one_table_serves_every_limit_pair(self, built):
+        # the three pairs stop at different levels (72, 67 and 44 here); one
+        # pass at those levels reads each entry at its own
+        cs = [validate_component(b, a=a) for b, a, _ in _DERIVED_DRIVERS["d3"]]
+        s, t = Fraction(3, 40), Fraction(31, 40)
+        inc = lift_limit(VectorWeierstrass(cs), TruncationPolicy.tolerance(1e-6, 0.1), s, t)
+        assert built == [40]
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            res = iterated_integral_limit(cs[i], cs[j], s, t, tol=1e-6, eps_prime=0.1)
+            assert abs(inc.second[i, j] - res.value) <= 1e-13
 
     def test_limit_lift_above_the_table_range(self, built, figure_pair):
         den = _MAX_TABLE_DEN + 7
