@@ -527,6 +527,71 @@ class TestConvergenceReport:
         assert len(rows) == 2 and len(rows[0]) == 3
 
 
+class TestSweepAgainstPairLifts:
+    """Every grid sweep against sups taken pair by pair over lift_truncated, d = 3."""
+
+    DEPTH = 5
+    # below 6, so that mode 2^5 keeps every base-2 entry of the distance nonzero
+    LEVELS = (3, 5)
+    EPS = 0.02
+
+    @pytest.fixture(scope="class")
+    def driver(self):
+        return VectorWeierstrass([
+            validate_component(2, a="18/25"),
+            validate_component(3, a="3/5"),
+            validate_component(5, a="1/2"),
+        ])
+
+    @pytest.fixture(scope="class")
+    def pair_lifts(self, driver):
+        """{N: [(t - s, first, second)]} for every grid pair s < t."""
+        den = 1 << self.DEPTH
+        levels = self.LEVELS + (self.LEVELS[-1] + 4,)
+        out = {N: [] for N in levels}
+        for a in range(den):
+            for b in range(a + 1, den + 1):
+                s, t = Fraction(a, den), Fraction(b, den)
+                for N in levels:
+                    inc = lift_truncated(driver, N, s, t)
+                    out[N].append(((b - a) / den, inc.first, inc.second))
+        return out
+
+    def test_area_holder_sup_per_entry_exponents(self, driver, pair_lifts):
+        alphas = np.array(driver.alphas)
+        expo = alphas[:, None] + alphas[None, :] - 2 * self.EPS
+        got = area_holder_sup(driver, self.LEVELS, self.EPS, self.DEPTH)
+        for N in self.LEVELS:
+            want = max(np.max(np.abs(a) * dt**-expo) for dt, _, a in pair_lifts[N])
+            assert got[N] == pytest.approx(want, rel=1e-9)
+
+    def test_area_holder_sup_uniform_exponent(self, driver, pair_lifts):
+        got = area_holder_sup(driver, self.LEVELS, self.EPS, self.DEPTH, exponent=0.8)
+        for N in self.LEVELS:
+            want = max(np.max(np.abs(a)) * dt**-0.8 for dt, _, a in pair_lifts[N])
+            assert got[N] == pytest.approx(want, rel=1e-9)
+
+    def test_rough_norm_parts(self, driver, pair_lifts):
+        alpha = 0.42
+        for N in self.LEVELS:
+            est = rough_norm(driver, N, alpha, self.DEPTH)
+            holder = max(np.max(np.abs(x)) * dt**-alpha for dt, x, _ in pair_lifts[N])
+            area = max(np.max(np.abs(a)) * dt ** (-2 * alpha) for dt, _, a in pair_lifts[N])
+            assert est.holder_part == pytest.approx(holder, rel=1e-9)
+            assert est.area_part == pytest.approx(area, rel=1e-9)
+
+    def test_convergence_entries(self, driver, pair_lifts):
+        ref = self.LEVELS[-1] + 4
+        report = convergence_report(driver, list(self.LEVELS), depth=self.DEPTH,
+                                    reference_offset=4)
+        assert report.reference_level == ref
+        for k, N in enumerate(self.LEVELS):
+            want = np.zeros((3, 3))
+            for (_, _, a), (_, _, a_ref) in zip(pair_lifts[N], pair_lifts[ref]):
+                want = np.maximum(want, np.abs(a_ref - a))
+            np.testing.assert_allclose(report.sup_second_entries[k], want, rtol=1e-9)
+
+
 class TestShoelace:
     def test_unit_square(self):
         x = np.array([0.0, 1.0, 1.0, 0.0])
