@@ -147,27 +147,22 @@ def _cmd_eval(args) -> int:
     v = _components_from_args(args)
     N = args.N if args.N is not None else 20
     if args.figure1:
+        times = [Fraction(k, args.points - 1) for k in range(args.points)]
+    else:
+        step = to_fraction(args.grid_step) if args.grid_step else Fraction(1, 1024)
+        if not (0 < step <= 1):
+            raise ParameterError("--grid-step must lie in (0, 1]")
+        times = [k * step for k in range(int(1 / step) + 1)]
+    rows = [(t, *(eval_truncated(c, N, t) for c in v.components)) for t in times]
+    header = [f"W{i+1}" for i in range(v.d)]
+    if args.figure1:
         out = args.out or "figure1"
-        grid_den = args.points - 1
-        rows = []
-        for k in range(args.points):
-            t = Fraction(k, grid_den)
-            rows.append((t, *(eval_truncated(c, N, t) for c in v.components)))
         meta = {"N": N, "grid": f"uniform {args.points} points on [0,1]", **_meta_components(v)}
-        _write_csv(f"{out}_curves.csv", ["t"] + [f"W{i+1}" for i in range(v.d)], rows, meta)
-        par_rows = [row[1:] for row in rows]
-        _write_csv(f"{out}_parametric.csv", [f"W{i+1}" for i in range(v.d)], par_rows, meta)
+        _write_csv(f"{out}_curves.csv", ["t"] + header, rows, meta)
+        _write_csv(f"{out}_parametric.csv", header, [row[1:] for row in rows], meta)
         return 0
-    step = to_fraction(args.grid_step) if args.grid_step else Fraction(1, 1024)
-    if not (0 < step <= 1):
-        raise ParameterError("--grid-step must lie in (0, 1]")
-    rows = []
-    t = Fraction(0)
-    while t <= 1:
-        rows.append((t, *(eval_truncated(c, N, t) for c in v.components)))
-        t += step
     meta = {"N": N, "grid_step": step, **_meta_components(v)}
-    _write_csv(args.out, ["t"] + [f"W{i+1}" for i in range(v.d)], rows, meta)
+    _write_csv(args.out, ["t"] + header, rows, meta)
     return 0
 
 

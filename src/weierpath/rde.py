@@ -8,6 +8,8 @@ M(Y) = [T_1 Y | ... | T_d Y], so that every step is a d x d matrix acting on Y:
   Runge-Kutta scheme integrates it, with stage times on an exact rational
   half-grid so driver phases never degrade.  The default step resolves the
   fastest driver mode b^N pi (explicit schemes must resolve the driver).
+  A Richardson spot check takes the solver's first steps, at its own step
+  t_end / K, whole and as two halves with the same RK4 step matrices.
 
 * solve_rough: one explicit second-order (Davie) rough step per interval,
 
@@ -44,7 +46,6 @@ from .roughpath import _geometric_second, _resolve_level
 from .weierstrass import (
     TruncationPolicy,
     VectorWeierstrass,
-    eval_derivative,
     eval_derivative_affine,
 )
 
@@ -209,34 +210,6 @@ def _grid_layout(t_end: Fraction, step: Fraction, output_points: int) -> tuple[i
     return k, k // m
 
 
-def _rk4_step(f, t: Fraction, y: np.ndarray, h: Fraction) -> np.ndarray:
-    k1 = f(t, y)
-    k2 = f(t + h / 2, y + (float(h) / 2.0) * k1)
-    k3 = f(t + h / 2, y + (float(h) / 2.0) * k2)
-    k4 = f(t + h, y + float(h) * k3)
-    return y + (float(h) / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def _local_error_check(problem: RdeProblem, N: int, h: Fraction, tol: float) -> None:
-    """Richardson spot check of the local error on the first few steps."""
-    f = lambda t, y: problem.field.matrix(y) @ np.array(
-        [eval_derivative(c, N, t) for c in problem.driver.components]
-    )
-    y = problem.y0.copy()
-    t = Fraction(0)
-    for _ in range(min(4, math.ceil(problem.t_end / h))):
-        full = _rk4_step(f, t, y, h)
-        half = _rk4_step(f, t + h / 2, _rk4_step(f, t, y, h / 2), h / 2)
-        err = float(np.max(np.abs(full - half)))
-        if err > tol * max(1.0, float(np.max(np.abs(y)))):
-            raise ParameterError(
-                f"local error estimate {err:g} exceeds tolerance {tol:g} at the "
-                f"level-{N} stiffness: decrease step below {float(h) / 2:g}"
-            )
-        y = half
-        t = t + h
-
-
 def _plane_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix products of entry planes: out[p, q, ...] = sum_r a[p, r, ...] b[r, q, ...]."""
     out = a[:, 0, None] * b[None, 0]
@@ -264,6 +237,28 @@ def _stage_matrices(problem: RdeProblem, N: int, seg_start: Fraction, h: Fractio
     diag = np.arange(problem.driver.d)
     out[diag, diag] += 1.0
     return out
+
+
+def _local_error_check(problem: RdeProblem, N: int, h: Fraction, K: int, tol: float) -> None:
+    """Richardson spot check of the local error on the solver's first min(4, K) steps.
+
+    Each step of size h is taken whole and as two halves, as RK4 step
+    matrices (_stage_matrices); the estimate is the gap between the results."""
+    steps = min(4, K)
+    whole = _stage_matrices(problem, N, Fraction(0), h, steps)
+    halves = _stage_matrices(problem, N, Fraction(0), h / 2, 2 * steps)
+    twice = _plane_product(halves[..., 1::2], halves[..., ::2])
+    y = problem.y0
+    for k in range(steps):
+        full = whole[..., k] @ y
+        half = twice[..., k] @ y
+        err = float(np.max(np.abs(full - half)))
+        if err > tol * max(1.0, float(np.max(np.abs(y)))):
+            raise ParameterError(
+                f"local error estimate {err:g} exceeds tolerance {tol:g} at the "
+                f"level-{N} stiffness: decrease step below {float(h) / 2:g}"
+            )
+        y = half
 
 
 def _ordered_product(mats: np.ndarray) -> np.ndarray:
@@ -321,7 +316,8 @@ def solve_ode_truncated(problem: RdeProblem, N: int, *, output_points: int = 102
     """Fixed-step RK4 solution of Y' = M(Y) W_N'(t) with dense uniform output.
 
     The step (problem.step or the resolving default) is validated against
-    the fastest driver mode and spot-checked by step halving; violations
+    the fastest driver mode; the solver's own step h = t_end / K of the grid
+    layout is spot-checked by step halving on its first steps.  Violations
     raise with a prescribed smaller step.  Steps are the RK4 matrices of
     _stage_matrices, applied by the shared propagator (_propagate).
     """
@@ -329,9 +325,9 @@ def solve_ode_truncated(problem: RdeProblem, N: int, *, output_points: int = 102
         raise ParameterError("output_points must be >= 2")
     step = problem.step if problem.step is not None else default_ode_step(problem.driver, N)
     _step_guard(problem.driver, N, step)
-    _local_error_check(problem, N, step, local_error_tol)
     K, stride = _grid_layout(problem.t_end, step, output_points)
     h = problem.t_end / K
+    _local_error_check(problem, N, h, K, local_error_tol)
     return _propagate(problem, K, stride,
                       lambda k, n: _stage_matrices(problem, N, h * k, h, n))
 
@@ -367,7 +363,7 @@ def solve_rough(problem: RdeProblem, truncation, step=None, *,
     """
     if output_points < 2:
         raise ParameterError("output_points must be >= 2")
-    if isinstance(truncation, TruncationPolicy) and truncation.mode == "tolerance":
+    if isinstance(truncation, TruncationPolicy):
         problem.driver.require_lift_range()
     N = _resolve_level(problem.driver, truncation)
     step = to_fraction(step) if step is not None else (problem.step or Fraction(1, 1 << 10))

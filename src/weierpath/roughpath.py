@@ -15,11 +15,11 @@ and measures the geometric rate at which truncated lifts converge.
 Grid sweeps exploit that the canonical lift of a smooth truncation
 satisfies the Chen relation exactly: A_N(s, t) is recovered from the
 prefix values A_N(0, .) and the first level, so a pair costs O(1) instead
-of O(modes^2).  A sweep visits the pair set its grid spec names (every
-pair s < t up to FULL_SWEEP_DEPTH; beyond it the pairs of a stride
-subgrid and every separation up to 8 strides) in blocks with no masked
-work.  All results are sups over finite grids and therefore lower bounds
-of the true seminorms.
+of O(modes^2).  Every grid diagnostic runs one second-level sweep,
+_area_sups, over the pair set its grid spec names (every pair s < t up to
+FULL_SWEEP_DEPTH; beyond it the pairs of a stride subgrid and every
+separation up to 8 strides) in blocks with no masked work.  All results
+are sups over finite grids and therefore lower bounds of the true seminorms.
 
 Pure functions on immutable inputs throughout; reductions are max/sup, so
 evaluation order cannot change any result.
@@ -171,12 +171,10 @@ def lift_limit(v: VectorWeierstrass, policy: TruncationPolicy, s, t) -> RoughInc
     levels serves every pair.  The rest follow from the first level
     (_geometric_second).  Requires every component exponent above 1/3 (the
     validity range of the level-2 lift); the error message names the
-    offending component.
+    offending component.  A fixed level is lift_truncated's.
     """
     s, t = _interval(s, t)
     v.require_lift_range()
-    if policy.mode == "fixed":
-        return lift_truncated(v, policy.N, s, t)
     policy.check_eps_prime(min(v.alphas))
     d = v.d
     if s == t:
@@ -335,52 +333,45 @@ def _second_level_rows(q, wi, wj, rows, cols, out, tmp):
     out -= tmp
 
 
-def _norm_parts(v: VectorWeierstrass, N: int, alpha: float, depth: int, tables) -> tuple[float, float]:
-    """Hoelder and area parts over the pairs _grid_spec names, from _level_tables(v, [N], depth)."""
-    den = 1 << depth
-    idx, W, Q = tables
+def _area_sups(v: VectorWeierstrass, tables, levels: Sequence[int], blocks,
+               expo: Optional[np.ndarray] = None, ref: Optional[int] = None) -> np.ndarray:
+    """Per level and entry, the sup of |A_N(s, t) - A_ref(s, t)| over the pairs of ``blocks``.
 
-    holder = 0.0
-    area = 0.0
-    for rows, cols, dt, drop in _pair_blocks(den, depth):
-        w1 = _zero_dropped(dt**-alpha, drop)
-        w2 = _zero_dropped(dt ** (-2 * alpha), drop)
+    The one second-level sweep of the grid diagnostics, on ``tables`` from
+    _level_tables; without ``ref`` the distance is |A_N|.  With ``expo``
+    entry (i, j) is weighted by |t - s|^-expo[i, j], each block's weights
+    built once per distinct exponent; without it pairs s >= t are zeroed.
+    Returns shape (len(levels), d, d).
+    """
+    _, W, Q = tables
+    out = np.zeros((len(levels), v.d, v.d))
+    exponents = () if expo is None else set(expo.flat)
+    for rows, cols, dt, drop in blocks:
         a, tmp = np.empty((2,) + dt.shape)
-        for ci in range(v.d):
-            wv = W[N][ci]
-            m = float(np.max(np.abs(wv[cols] - wv[rows]) * w1))
-            holder = max(holder, m)
-        for i in range(v.d):
-            wi = W[N][i]
-            for j in range(v.d):
-                _second_level_rows(Q[N][:, i, j], wi, W[N][j], rows, cols, a, tmp)
-                area = max(area, float(np.max(np.abs(a) * w2)))
-    return holder, area
-
-
-def _fine_scale_area_sup(v: VectorWeierstrass, N: int, alpha: float, tables) -> float:
-    """Adjacent-pair area ratio sup on the grid of ``tables``: grows with depth iff alpha is too large."""
-    idx, W, Q = tables
-    den = idx.size - 1
-    dt = 1.0 / den
-    sup = 0.0
-    rows, cols, _, _ = _band_block(den, 1)
-    a, tmp = np.empty((2, den))
-    for i in range(v.d):
-        for j in range(v.d):
-            _second_level_rows(Q[N][:, i, j], W[N][i], W[N][j], rows, cols, a, tmp)
-            sup = max(sup, float(np.max(np.abs(a))) / dt ** (2 * alpha))
-    return sup
+        a_ref = None if ref is None else np.empty_like(a)
+        weights = {e: _zero_dropped(dt**-e, drop) for e in exponents}
+        for i, j in np.ndindex(v.d, v.d):
+            if ref is not None:
+                _second_level_rows(Q[ref][:, i, j], W[ref][i], W[ref][j], rows, cols, a_ref, tmp)
+            for k, N in enumerate(levels):
+                _second_level_rows(Q[N][:, i, j], W[N][i], W[N][j], rows, cols, a, tmp)
+                if ref is not None:
+                    np.subtract(a_ref, a, out=a)
+                np.abs(a, out=a)
+                if expo is None:
+                    _zero_dropped(a, drop)
+                else:
+                    a *= weights[expo[i, j]]
+                out[k, i, j] = max(out[k, i, j], float(np.max(a)))
+    return out
 
 
 def _resolve_level(v: VectorWeierstrass, truncation) -> int:
-    """Truncation level for a sweep: fixed N, or deep enough for the tolerance."""
+    """Truncation level for a sweep: an int is a fixed level; a policy resolves deep enough."""
     if isinstance(truncation, (int, np.integer)) and not isinstance(truncation, bool):
         return _validate_level(truncation)
     if not isinstance(truncation, TruncationPolicy):
         raise ParameterError("truncation must be an int level or a TruncationPolicy")
-    if truncation.mode == "fixed":
-        return truncation.N
     truncation.check_eps_prime(min(v.alphas))
     tol = truncation.tol
     best = max(
@@ -402,11 +393,13 @@ def rough_norm(v: VectorWeierstrass, truncation, alpha: float, depth: int,
                flag_growth: bool = False) -> RoughNormEstimate:
     """Grid estimate of the alpha/2-alpha seminorm parts of the lift.
 
-    ``truncation`` is a fixed level N or a TruncationPolicy; alpha must lie
-    in (1/3, min_i alpha_i] unless ``enforce_alpha_range`` is lifted for
-    negative controls.  With ``flag_growth`` the adjacent-pair area ratio at
-    depth is flagged when it exceeds 1.05 times the one at depth - 4 (the
-    signature of an exponent outside the valid range).
+    ``truncation`` is an int (a fixed level N) or a TruncationPolicy;
+    alpha must lie in (1/3, min_i alpha_i] unless ``enforce_alpha_range`` is
+    lifted for negative controls.  One pass of _area_sups over the pairs
+    gives the area part and, block by block, the Hoelder part.  With
+    ``flag_growth`` the adjacent-pair area ratio at depth is flagged when it
+    exceeds 1.05 times the one at depth - 4 (the signature of an exponent
+    outside the valid range).
     """
     depth = _validate_depth(depth)
     alpha = float(alpha)
@@ -418,14 +411,29 @@ def rough_norm(v: VectorWeierstrass, truncation, alpha: float, depth: int,
     if not (alpha > 0):
         raise ParameterError("alpha must be positive")
     N = _resolve_level(v, truncation)
+    den = 1 << depth
     tables = _level_tables(v, [N], depth)
-    holder, area = _norm_parts(v, N, alpha, depth, tables)
+    W = tables[1][N]
+    holder = 0.0
+
+    def blocks():
+        # the Hoelder part rides along the area sweep: a second pass over the blocks costs more
+        nonlocal holder
+        for rows, cols, dt, drop in _pair_blocks(den, depth):
+            w = _zero_dropped(dt**-alpha, drop)
+            holder = max(holder, *(float(np.max(np.abs(x[cols] - x[rows]) * w)) for x in W))
+            yield rows, cols, dt, drop
+
+    area = float(_area_sups(v, tables, [N], blocks(), np.full((v.d, v.d), 2 * alpha)).max())
     flagged = None
     if flag_growth:
         if depth < 6:
             raise ParameterError("flag_growth needs depth >= 6")
-        coarse = _fine_scale_area_sup(v, N, alpha, _level_tables(v, [N], depth - 4))
-        fine = _fine_scale_area_sup(v, N, alpha, tables)
+        # the adjacent-pair area ratio sup max|A| / (1/den)^(2 alpha) at both depths
+        coarse, fine = (
+            float(_area_sups(v, t, [N], [_band_block(n, 1)]).max()) / (1.0 / n) ** (2 * alpha)
+            for t, n in ((_level_tables(v, [N], depth - 4), den >> 4), (tables, den))
+        )
         flagged = bool(fine > 1.05 * coarse)
     return RoughNormEstimate(
         holder_part=holder,
@@ -449,25 +457,12 @@ def area_holder_sup(v: VectorWeierstrass, levels: Sequence[int], eps: float, dep
     if not (eps > 0):
         raise ParameterError("eps must be positive")
     levels = _validate_levels(levels)
-    den = 1 << depth
-    idx, W, Q = _level_tables(v, levels, depth)
-    out = {N: 0.0 for N in levels}
-    for rows, cols, dt, drop in _pair_blocks(den, depth):
-        a, tmp = np.empty((2,) + dt.shape)
-        for i in range(v.d):
-            for j in range(v.d):
-                expo = (
-                    exponent
-                    if exponent is not None
-                    else v.components[i].alpha + v.components[j].alpha - 2 * eps
-                )
-                w = _zero_dropped(dt**-expo, drop)
-                for N in levels:
-                    _second_level_rows(Q[N][:, i, j], W[N][i], W[N][j], rows, cols, a, tmp)
-                    m = float(np.max(np.abs(a) * w))
-                    if m > out[N]:
-                        out[N] = m
-    return out
+    alphas = np.array(v.alphas)
+    expo = (alphas[:, None] + alphas - 2 * eps if exponent is None
+            else np.full((v.d, v.d), float(exponent)))
+    sups = _area_sups(v, _level_tables(v, levels, depth), levels, _pair_blocks(1 << depth, depth),
+                      expo)
+    return {N: float(sup.max()) for N, sup in zip(levels, sups)}
 
 
 # ---------------------------------------------------------------------------
@@ -578,8 +573,8 @@ def convergence_report(v: VectorWeierstrass, Ns: Sequence[int], *,
 
     ref = Ns[-1] + reference_offset
     levels = Ns + [ref]
-    den = 1 << depth
-    idx, W, Q = _level_tables(v, levels, depth)
+    tables = _level_tables(v, levels, depth)
+    W = tables[1]
 
     sup_first = []
     for N in Ns:
@@ -590,19 +585,7 @@ def convergence_report(v: VectorWeierstrass, Ns: Sequence[int], *,
         sup_first.append(worst)
 
     d = v.d
-    entries = np.zeros((len(Ns), d, d))
-    for rows, cols, dt, drop in _pair_blocks(den, depth):
-        a_ref, a_n, tmp = np.empty((3,) + dt.shape)
-        for i in range(d):
-            for j in range(d):
-                _second_level_rows(Q[ref][:, i, j], W[ref][i], W[ref][j], rows, cols,
-                                   a_ref, tmp)
-                for k, N in enumerate(Ns):
-                    _second_level_rows(Q[N][:, i, j], W[N][i], W[N][j], rows, cols, a_n, tmp)
-                    np.subtract(a_ref, a_n, out=a_n)
-                    m = float(np.max(_zero_dropped(np.abs(a_n, out=a_n), drop)))
-                    if m > entries[k, i, j]:
-                        entries[k, i, j] = m
+    entries = _area_sups(v, tables, Ns, _pair_blocks(1 << depth, depth), ref=ref)
 
     if d >= 2:
         mask = ~np.eye(d, dtype=bool)

@@ -216,16 +216,10 @@ def vector_from_config(cfg: dict) -> VectorWeierstrass:
 
 @dataclass(frozen=True)
 class TruncationPolicy:
-    """Either a fixed truncation level or a tolerance-driven tail cut."""
+    """A tolerance-driven tail cut; a fixed truncation level is passed as an int instead."""
 
-    mode: str  # "fixed" | "tolerance"
-    N: Optional[int] = None
-    tol: Optional[float] = None
-    eps_prime: Optional[float] = None
-
-    @staticmethod
-    def fixed(N: int) -> "TruncationPolicy":
-        return TruncationPolicy(mode="fixed", N=_validate_level(N))
+    tol: float
+    eps_prime: float
 
     @staticmethod
     def tolerance(tol: float, eps_prime: float) -> "TruncationPolicy":
@@ -233,11 +227,11 @@ class TruncationPolicy:
             raise ParameterError(f"tolerance must be positive, got {tol}")
         if not (eps_prime > 0):
             raise ParameterError(f"eps_prime must be positive, got {eps_prime}")
-        return TruncationPolicy(mode="tolerance", tol=float(tol), eps_prime=float(eps_prime))
+        return TruncationPolicy(tol=float(tol), eps_prime=float(eps_prime))
 
     def check_eps_prime(self, min_alpha: float) -> None:
         # the eps_prime < min alpha constraint needs component context
-        if self.mode == "tolerance" and not (self.eps_prime < min_alpha):
+        if not (self.eps_prime < min_alpha):
             raise ParameterError(
                 f"eps_prime = {self.eps_prime} must be below min alpha = {min_alpha:.6f}"
             )

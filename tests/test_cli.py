@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -211,3 +212,22 @@ def test_script_help_runs(script):
     proc = subprocess.run([sys.executable, str(script), "--help"], env=env, cwd=ROOT,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_traced_layer_targets_resolve(monkeypatch):
+    # a renamed library function would silently zero its perfbench layer;
+    # the two absent targets are the ones the benchmark still names
+    spec = importlib.util.spec_from_file_location("perfbench_layers",
+                                                  ROOT / "perfbench" / "layers.py")
+    layers = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, layers)
+    spec.loader.exec_module(layers)
+    absent = set()
+    for _, module, path, _, _ in layers.TARGETS:
+        owner = importlib.import_module(module)
+        for part in path.split("."):
+            owner = getattr(owner, part, None)
+        if owner is None:
+            absent.add(f"{module}.{path}")
+    assert absent == {"weierpath.iterated.iterated_grid_prefix",
+                      "weierpath.iterated._truncated_best_path"}

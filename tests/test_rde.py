@@ -51,6 +51,14 @@ _ROUGH_LAYOUTS = [
 ]
 
 
+def _rk4_step(f, t, y, h):
+    k1 = f(t, y)
+    k2 = f(t + h / 2, y + (float(h) / 2.0) * k1)
+    k3 = f(t + h / 2, y + (float(h) / 2.0) * k2)
+    k4 = f(t + h, y + float(h) * k3)
+    return y + (float(h) / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
 def _rk4_reference(problem, N, K):
     """Y after each of K plain RK4 steps, with W_N' by math.fsum at Fraction times."""
     h = problem.t_end / K
@@ -63,7 +71,7 @@ def _rk4_reference(problem, N, K):
 
     ys = [problem.y0.copy()]
     for k in range(K):
-        ys.append(rde_mod._rk4_step(f, h * k, ys[-1], h))
+        ys.append(_rk4_step(f, h * k, ys[-1], h))
     return np.array(ys)
 
 
@@ -166,6 +174,18 @@ class TestOdeSolver:
         d1 = np.max(np.abs(paths[11].values - paths[12].values))
         d2 = np.max(np.abs(paths[12].values - paths[13].values))
         assert d1 / d2 == pytest.approx(16.0, rel=0.3)
+
+    def test_spot_check_stays_inside_the_interval(self, figure_pair):
+        # step 3/8 lays out K = 3 steps of 1/3; the check runs on those, not past t_end
+        p = RdeProblem(BilinearField(), figure_pair, [1, 0], step=Fraction(3, 8))
+        path = solve_ode_truncated(p, 0, local_error_tol=1.0)
+        assert path.times[-1] == 1.0 and path.times.size == 4
+
+    def test_spot_check_rejects_a_loose_step(self, figure_pair):
+        p = RdeProblem(BilinearField(), figure_pair, [1, 0], step=Fraction(1, 1024))
+        with pytest.raises(ParameterError, match="local error estimate .* exceeds tolerance 1e-12 "
+                                                 "at the level-4 stiffness: decrease step below"):
+            solve_ode_truncated(p, 4, local_error_tol=1e-12)
 
     def test_step_guard_prescribes_bound(self, figure_pair):
         p = RdeProblem(BilinearField(), figure_pair, np.array([1.0, 0.0]),

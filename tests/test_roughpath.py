@@ -93,11 +93,6 @@ class TestLiftLimit:
         with pytest.raises(ParameterError, match="component 1"):
             lift_limit(v, TruncationPolicy.tolerance(1e-6, 0.1), 0, 1)
 
-    def test_fixed_policy_delegates(self, figure_pair):
-        inc_pol = lift_limit(figure_pair, TruncationPolicy.fixed(6), 0, Fraction(1, 2))
-        inc_dir = lift_truncated(figure_pair, 6, 0, Fraction(1, 2))
-        assert np.array_equal(inc_pol.second, inc_dir.second)
-
     def test_unreachable_tolerance_propagates(self, figure_pair):
         with pytest.raises(ToleranceUnreachable):
             lift_limit(figure_pair, TruncationPolicy.tolerance(1e-30, 0.1), 0, 1)
@@ -184,8 +179,6 @@ class TestGeometricSecondLevel:
         inc = lift_truncated(v, N, s, t)
         want = _all_entries(v, lambda ci, cj: iterated_integral_truncated(ci, cj, N, s, t))
         assert np.abs(inc.second - want).max() <= 1e-12
-        fixed = lift_limit(v, TruncationPolicy.fixed(N), s, t)
-        assert np.abs(fixed.second - want).max() <= 1e-12
 
     @given(v=_drivers, N=st.integers(0, 6),
            st_pair=_intervals(_MAX_TABLE_DEN + 1, 4 * _MAX_TABLE_DEN))

@@ -89,12 +89,6 @@ class TestVectorWeierstrass:
 
 
 class TestTruncationPolicy:
-    def test_fixed_validation(self):
-        assert TruncationPolicy.fixed(5).N == 5
-        assert TruncationPolicy.fixed(np.int64(5)).N == 5
-        with pytest.raises(ParameterError):
-            TruncationPolicy.fixed(-1)
-
     def test_tolerance_validation(self):
         pol = TruncationPolicy.tolerance(1e-6, 0.1)
         pol.check_eps_prime(0.46)
