@@ -347,8 +347,8 @@ def _area_sups(v: VectorWeierstrass, tables, levels: Sequence[int], blocks,
     out = np.zeros((len(levels), v.d, v.d))
     exponents = () if expo is None else set(expo.flat)
     for rows, cols, dt, drop in blocks:
-        a, tmp = np.empty((2,) + dt.shape)
-        a_ref = None if ref is None else np.empty_like(a)
+        a, tmp, *rest = np.empty((2 if ref is None else 3,) + dt.shape)
+        a_ref = rest[0] if rest else None
         weights = {e: _zero_dropped(dt**-e, drop) for e in exponents}
         for i, j in np.ndindex(v.d, v.d):
             if ref is not None:

@@ -215,8 +215,8 @@ def test_script_help_runs(script):
 
 
 def test_traced_layer_targets_resolve(monkeypatch):
-    # a renamed library function would silently zero its perfbench layer;
-    # the two absent targets are the ones the benchmark still names
+    # a renamed library function would silently zero its perfbench layer; the
+    # two expected absentees are stale targets the benchmark keeps until it is updated
     spec = importlib.util.spec_from_file_location("perfbench_layers",
                                                   ROOT / "perfbench" / "layers.py")
     layers = importlib.util.module_from_spec(spec)

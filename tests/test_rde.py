@@ -52,6 +52,7 @@ _ROUGH_LAYOUTS = [
 
 
 def _rk4_step(f, t, y, h):
+    """One plain RK4 step of y' = f(t, y); the solver's step matrices share no code with it."""
     k1 = f(t, y)
     k2 = f(t + h / 2, y + (float(h) / 2.0) * k1)
     k3 = f(t + h / 2, y + (float(h) / 2.0) * k2)
