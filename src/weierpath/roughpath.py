@@ -335,13 +335,12 @@ def _second_level_rows(q, wi, wj, rows, cols, out, tmp):
 
 def _area_sups(v: VectorWeierstrass, tables, levels: Sequence[int], blocks,
                expo: Optional[np.ndarray] = None, ref: Optional[int] = None) -> np.ndarray:
-    """Per level and entry, the sup of |A_N(s, t) - A_ref(s, t)| over the pairs of ``blocks``.
+    """(len(levels), d, d) sups of |A_N(s, t) - A_ref(s, t)| over the pairs of ``blocks``.
 
     The one second-level sweep of the grid diagnostics, on ``tables`` from
     _level_tables; without ``ref`` the distance is |A_N|.  With ``expo``
     entry (i, j) is weighted by |t - s|^-expo[i, j], each block's weights
     built once per distinct exponent; without it pairs s >= t are zeroed.
-    Returns shape (len(levels), d, d).
     """
     _, W, Q = tables
     out = np.zeros((len(levels), v.d, v.d))
@@ -417,12 +416,13 @@ def rough_norm(v: VectorWeierstrass, truncation, alpha: float, depth: int,
     holder = 0.0
 
     def blocks():
-        # the Hoelder part rides along the area sweep: a second pass over the blocks costs more
+        # one pass (a second costs more); a block's Hoelder part is taken once the
+        # sweep asks for the next block or ends: fewer page faults than taking it first
         nonlocal holder
         for rows, cols, dt, drop in _pair_blocks(den, depth):
+            yield rows, cols, dt, drop
             w = _zero_dropped(dt**-alpha, drop)
             holder = max(holder, *(float(np.max(np.abs(x[cols] - x[rows]) * w)) for x in W))
-            yield rows, cols, dt, drop
 
     area = float(_area_sups(v, tables, [N], blocks(), np.full((v.d, v.d), 2 * alpha)).max())
     flagged = None
