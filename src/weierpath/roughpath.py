@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from typing import Optional, Sequence
 
 import numpy as np
@@ -349,7 +349,7 @@ def _area_sups(v: VectorWeierstrass, tables, levels: Sequence[int], blocks,
         a, tmp, *rest = np.empty((2 if ref is None else 3,) + dt.shape)
         a_ref = rest[0] if rest else None
         weights = {e: _zero_dropped(dt**-e, drop) for e in exponents}
-        for i, j in np.ndindex(v.d, v.d):
+        for i, j in product(range(v.d), repeat=2):
             if ref is not None:
                 _second_level_rows(Q[ref][:, i, j], W[ref][i], W[ref][j], rows, cols, a_ref, tmp)
             for k, N in enumerate(levels):
