@@ -30,6 +30,7 @@ import pytest
 from weierpath.cli import main
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+D3_FLAGS = ["--b", "2", "--a", "18/25", "--b", "3", "--a", "3/5", "--b", "5", "--a", "1/2"]
 
 GOLDEN = (
     ("eval_b2.csv", ["eval", "--b", "2", "--a", "18/25", "--N", "6", "--grid-step", "1/128"]),
@@ -45,6 +46,11 @@ GOLDEN = (
                                "--json"]),
     ("norms_depth12.json", ["norms", "--figure-params", "--alpha", "0.46", "--N", "8",
                             "--depth", "12"]),
+    # d = 3 (bases 2, 3, 5): the sweeps over all nine entries
+    ("converge_d3_depth12.json", ["converge", *D3_FLAGS, "--Ns", "3,5", "--depth", "12",
+                                  "--json"]),
+    ("norms_d3_depth12.json", ["norms", *D3_FLAGS, "--alpha", "0.42", "--N", "6",
+                               "--depth", "12"]),
     ("norms_exponent.csv", ["norms", "--figure-params", "--estimate-exponent", "--N", "12",
                             "--depth", "8"]),
     ("demo.csv", ["demo", "--Ns", "1,2,3,4", "--t", "7/10"]),
