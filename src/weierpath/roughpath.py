@@ -18,8 +18,11 @@ prefix values A_N(0, .) and the first level, so a pair costs O(1) instead
 of O(modes^2).  Every grid diagnostic runs one second-level sweep,
 _area_sups, over the pair set its grid spec names (every pair s < t up to
 FULL_SWEEP_DEPTH; beyond it the pairs of a stride subgrid and every
-separation up to 8 strides) in blocks with no masked work.  All results
-are sups over finite grids and therefore lower bounds of the true seminorms.
+separation up to 8 strides) in blocks with no masked work.  Per block,
+entry and level the sweep is one rank-(r + 2) matrix product of small
+factors gathered from grid tables (_second_level_rows): r = 1 for A_N,
+r = 2 for its distance to a reference level.  All results are sups over
+finite grids and therefore lower bounds of the true seminorms.
 
 Pure functions on immutable inputs throughout; reductions are max/sup, so
 evaluation order cannot change any result.
@@ -288,7 +291,10 @@ def _pair_blocks(den: int, depth: int):
     """Yield (rows, cols, dt, drop) blocks holding exactly the pairs _grid_spec names.
 
     rows and cols index s and t and broadcast against each other into the
-    block; dt = (t - s) / den per pair.  A coarse block pairs a chunk
+    block; dt = (t - s) / den per pair.  A coarse block is 2-D: rows is an
+    index column and cols an index row, so _second_level_rows computes it as
+    one matrix product.  A band block is 1-D: rows and cols are slices of
+    equal length, computed row by row.  A coarse block pairs a chunk
     [lo, hi) of the grid (or, beyond FULL_SWEEP_DEPTH, of its
     stride-2^(depth-11) subgrid) with the columns from lo + 1 on, so every
     pair s < t is swept once and the pairs s >= t lie only in the leading
@@ -321,16 +327,34 @@ def _zero_dropped(x, drop):
 
 
 def _second_level_rows(q, wi, wj, rows, cols, out, tmp):
-    """Write A(s, t) for a block of s rows and t cols into ``out``, via the Chen prefix identity.
+    """Write A(s, t) = q(t) - q(s) - sum_k x_k(s) (y_k(t) - y_k(s)) for a block into ``out``.
 
-    ``rows`` and ``cols`` broadcast against each other (_pair_blocks);
-    ``out`` and ``tmp`` are block-shaped buffers, so that a sweep allocates
-    no block-sized temporaries per call.
+    ``q`` is a grid table and ``wi``, ``wj`` are sequences of r grid tables,
+    with x_k = wi[k] - wi[k][0] and y_k = wj[k]; r = 1 with (W_i,), (W_j,)
+    and q = A_ij(0, .) gives A_ij by Chen.  Since A(s, t) = q(t) - p(s) -
+    sum_k x_k(s) y_k(t) with p = q - sum_k x_k y_k, the block is the
+    rank-(r + 2) product [1, -p, -x_1, ...][rows] @ [q; 1; y_1; ...][cols]:
+    one matmul for a 2-D block, a row-wise einsum for a 1-D band, whose
+    rows and cols are slices of equal length (_pair_blocks).  ``tmp`` is
+    the (r + 2, m + n) scratch for the two factors of a block of m rows and
+    n cols (m = n for a band of n pairs).
     """
-    np.subtract(q[cols], q[rows], out=out)
-    np.subtract(wj[cols], wj[rows], out=tmp)
-    tmp *= wi[rows] - wi[0]
-    out -= tmp
+    h = out.shape[0]
+    left, right = tmp[:, :h], tmp[:, h:]
+    rows = rows.ravel() if out.ndim == 2 else rows
+    left[0] = 1.0
+    left[1] = q[rows]
+    right[0] = q[cols]
+    right[1] = 1.0
+    for k, (x, y) in enumerate(zip(wi, wj), 2):
+        np.subtract(x[0], x[rows], out=left[k])
+        left[1] += left[k] * y[rows]
+        right[k] = y[cols]
+    np.negative(left[1], out=left[1])
+    if out.ndim == 2:
+        np.matmul(left.T, right, out=out)
+    else:
+        np.einsum("ki,ki->i", left, right, out=out)
 
 
 def _area_sups(v: VectorWeierstrass, tables, levels: Sequence[int], blocks,
@@ -338,30 +362,38 @@ def _area_sups(v: VectorWeierstrass, tables, levels: Sequence[int], blocks,
     """(len(levels), d, d) sups of |A_N(s, t) - A_ref(s, t)| over the pairs of ``blocks``.
 
     The one second-level sweep of the grid diagnostics, on ``tables`` from
-    _level_tables; without ``ref`` the distance is |A_N|.  With ``expo``
-    entry (i, j) is weighted by |t - s|^-expo[i, j], each block's weights
-    built once per distinct exponent; without it pairs s >= t are zeroed.
+    _level_tables: one _second_level_rows product per block, entry and
+    level.  Without ``ref`` the distance is |A_N| (rank 3).  With ``ref``
+    the difference is folded into one rank-4 product whose terms stay
+    small: A_ref - A_N = dQ(t) - dQ(s) - u(s) (dY(t) - dY(s)) - du(s)
+    (W_N,j(t) - W_N,j(s)), with dQ = Q_ref - Q_N, dY = W_ref,j - W_N,j,
+    u = W_ref,i - W_ref,i(0) and du its difference with the level's.
+    With ``expo`` entry (i, j) is weighted by |t - s|^-expo[i, j], each
+    block's weights built once per distinct exponent; without it pairs
+    s >= t are zeroed.  The sup of a block is max(max, -min).
     """
     _, W, Q = tables
+    if ref is None:
+        terms = [(Q[N], (W[N],), (W[N],)) for N in levels]
+    else:
+        dW = {N: W[ref] - W[N] for N in levels}
+        terms = [(Q[ref] - Q[N], (W[ref], dW[N]), (dW[N], W[N])) for N in levels]
+    calls = [(k, i, j, q[:, i, j], [w[i] for w in wi], [w[j] for w in wj])
+             for i, j in product(range(v.d), repeat=2) for k, (q, wi, wj) in enumerate(terms)]
+    rank = 3 if ref is None else 4
     out = np.zeros((len(levels), v.d, v.d))
     exponents = () if expo is None else set(expo.flat)
     for rows, cols, dt, drop in blocks:
-        a, tmp, *rest = np.empty((2 if ref is None else 3,) + dt.shape)
-        a_ref = rest[0] if rest else None
+        a = np.empty(dt.shape)
+        tmp = np.empty((rank, dt.shape[0] + dt.shape[-1]))
         weights = {e: _zero_dropped(dt**-e, drop) for e in exponents}
-        for i, j in product(range(v.d), repeat=2):
-            if ref is not None:
-                _second_level_rows(Q[ref][:, i, j], W[ref][i], W[ref][j], rows, cols, a_ref, tmp)
-            for k, N in enumerate(levels):
-                _second_level_rows(Q[N][:, i, j], W[N][i], W[N][j], rows, cols, a, tmp)
-                if ref is not None:
-                    np.subtract(a_ref, a, out=a)
-                np.abs(a, out=a)
-                if expo is None:
-                    _zero_dropped(a, drop)
-                else:
-                    a *= weights[expo[i, j]]
-                out[k, i, j] = max(out[k, i, j], float(np.max(a)))
+        for k, i, j, q, wi, wj in calls:
+            _second_level_rows(q, wi, wj, rows, cols, a, tmp)
+            if expo is None:
+                _zero_dropped(a, drop)
+            else:
+                a *= weights[expo[i, j]]
+            out[k, i, j] = max(out[k, i, j], float(a.max()), -float(a.min()))
     return out
 
 

@@ -31,9 +31,11 @@ from weierpath.phase import _MAX_TABLE_DEN, TrigTable
 from weierpath.rde import _lift_table
 from weierpath.roughpath import (
     FULL_SWEEP_DEPTH,
+    _band_block,
     _level_tables,
     _pair_blocks,
     _resolve_level,
+    _second_level_rows,
     _zero_dropped,
 )
 from weierpath.weierstrass import _kahan_modes, eval_truncated_grid, eval_vector
@@ -448,6 +450,83 @@ class TestPairBlocks:
         assert np.array_equal(covered, named)
 
 
+def _kernel(q, wi, wj, rows, cols, shape):
+    out = np.empty(shape)
+    _second_level_rows(q, wi, wj, rows, cols, out, np.empty((len(wi) + 2, shape[0] + shape[-1])))
+    return out
+
+
+class TestSecondLevelRows:
+    """The rank-(r + 2) block product against q(t) - q(s) - sum_k x_k(s) (y_k(t) - y_k(s))."""
+
+    DEPTH = FULL_SWEEP_DEPTH + 1
+    DEN = 1 << DEPTH
+    EPS = np.finfo(float).eps
+
+    @classmethod
+    def blocks(cls):
+        coarse = next(_pair_blocks(cls.DEN, cls.DEPTH))  # stride 2, with its dropped square
+        return {
+            "rectangle": (np.arange(5, 40)[:, None], np.arange(100, 400)),
+            "band": _band_block(cls.DEN, 3)[:2],
+            "stride_subgrid": coarse[:2],
+        }
+
+    def tables(self, r, seed):
+        rng = np.random.default_rng(seed)
+        q, *w = rng.standard_normal((2 * r + 1, self.DEN + 1))
+        return q, w[:r], w[r:]
+
+    def scale(self, q, wi, wj):
+        # a bound on every term of either form: |q|, |p| <= |q| + sum |x_k| |y_k|
+        return np.abs(q).max() + sum(2 * np.abs(x).max() * np.abs(y).max() for x, y in zip(wi, wj))
+
+    @pytest.mark.parametrize("r", [1, 2])
+    @pytest.mark.parametrize("block", ["rectangle", "band", "stride_subgrid"])
+    def test_matches_direct_formula(self, r, block):
+        q, wi, wj = self.tables(r, seed=10 * r + len(block))
+        rows, cols = self.blocks()[block]
+        idx = np.arange(self.DEN + 1)
+        s, t = np.broadcast_arrays(idx[rows], idx[cols])
+        want = q[t] - q[s] - sum((x[s] - x[0]) * (y[t] - y[s]) for x, y in zip(wi, wj))
+        got = _kernel(q, wi, wj, rows, cols, s.shape)
+        # 2(r + 2) roundings of terms at most the scale on each side
+        assert np.abs(got - want).max() <= 4 * (r + 2) * self.EPS * self.scale(q, wi, wj)
+
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_dropped_square_is_zero_on_the_diagonal(self, r):
+        # the pairs s >= t of a coarse block follow the same formula (checked
+        # above); at s = t the product cancels to roundoff before it is dropped
+        q, wi, wj = self.tables(r, seed=3)
+        rows, cols, _, drop = next(_pair_blocks(self.DEN, self.DEPTH))
+        got = _kernel(q, wi, wj, rows, cols, drop.shape[:1] + cols.shape)
+        diagonal = np.broadcast_to(rows, got.shape) == cols
+        assert diagonal.sum() == drop.shape[0] - 1
+        assert np.abs(got[diagonal]).max() <= 4 * (r + 2) * self.EPS * self.scale(q, wi, wj)
+        assert not np.any(_zero_dropped(got, drop)[diagonal])
+
+    @pytest.mark.parametrize("block", ["rectangle", "band", "stride_subgrid"])
+    def test_folded_reference_matches_two_sweeps(self, block):
+        # A_ref - A_N as one r = 2 product on the difference tables, against
+        # two r = 1 products subtracted; W_N sits 1e-3 from W_ref, as a level
+        # sits from its reference
+        rng = np.random.default_rng(7)
+        q_ref, wi_ref, wj_ref = rng.standard_normal((3, self.DEN + 1))
+        q_n, wi_n, wj_n = (x + 1e-3 * rng.standard_normal(x.size) for x in (q_ref, wi_ref, wj_ref))
+        rows, cols = self.blocks()[block]
+        shape = np.broadcast_shapes(np.shape(np.arange(self.DEN + 1)[rows]),
+                                    np.shape(np.arange(self.DEN + 1)[cols]))
+        two = (_kernel(q_ref, [wi_ref], [wj_ref], rows, cols, shape)
+               - _kernel(q_n, [wi_n], [wj_n], rows, cols, shape))
+        folded = _kernel(q_ref - q_n, [wi_ref, wi_ref - wi_n], [wj_ref - wj_n, wj_n],
+                         rows, cols, shape)
+        # the subtracted pair carries the roundoff of both full-size products
+        bound = 12 * self.EPS * (self.scale(q_ref, [wi_ref], [wj_ref])
+                                 + self.scale(q_n, [wi_n], [wj_n]))
+        assert np.abs(folded - two).max() <= bound
+        assert np.abs(two).max() > 1e3 * bound  # the distance itself is far from roundoff
+
+
 class TestConvergenceReport:
     def test_entry_sups_match_direct_lifts(self, figure_pair):
         # the buffered Chen-prefix sweep against pairwise lifts at depth 4
@@ -524,8 +603,12 @@ class TestSweepAgainstPairLifts:
     """Every grid sweep against sups taken pair by pair over lift_truncated, d = 3."""
 
     DEPTH = 5
-    # below 6, so that mode 2^5 keeps every base-2 entry of the distance nonzero
+    # The base-2 modes 2^n, n >= 6, are constant on the 1/32 grid.  So at N = 3
+    # the reference (N = 9) differs in modes 2^4 and 2^5 and every entry of the
+    # distance is nonzero, but at N = 5 the first level X_0 agrees with the
+    # reference's and entry (0, 0) = X_0^2 / 2 of the distance is exactly zero.
     LEVELS = (3, 5)
+    EXACT_ZERO = {(5, 0, 0)}
     EPS = 0.02
 
     @pytest.fixture(scope="class")
@@ -578,11 +661,19 @@ class TestSweepAgainstPairLifts:
         report = convergence_report(driver, list(self.LEVELS), depth=self.DEPTH,
                                     reference_offset=4)
         assert report.reference_level == ref
+        # both sides of an exact zero are roundoff: each is held to 16 ulps of
+        # the largest reference entry instead of to the other
+        bound = 16 * np.finfo(float).eps * max(np.abs(a).max() for _, _, a in pair_lifts[ref])
         for k, N in enumerate(self.LEVELS):
             want = np.zeros((3, 3))
             for (_, _, a), (_, _, a_ref) in zip(pair_lifts[N], pair_lifts[ref]):
                 want = np.maximum(want, np.abs(a_ref - a))
-            np.testing.assert_allclose(report.sup_second_entries[k], want, rtol=1e-9)
+            got = report.sup_second_entries[k]
+            zero = np.zeros((3, 3), dtype=bool)
+            for n, i, j in self.EXACT_ZERO:
+                zero[i, j] = n == N
+            assert got[zero].max(initial=0.0) <= bound and want[zero].max(initial=0.0) <= bound
+            np.testing.assert_allclose(got[~zero], want[~zero], rtol=1e-9)
 
 
 class TestShoelace:
