@@ -52,6 +52,27 @@ class _Parser(argparse.ArgumentParser):
         raise ParameterError(message)
 
 
+def _at_least(low: int):
+    """argparse type for an int flag of at least ``low``; argparse names the flag on failure."""
+    def parse(text):
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
+        return int(text)
+    parse.__name__ = "int"
+    return parse
+
+
+def _list_flag(flag: str, text, kind, default: list) -> list:
+    """The comma-separated ``kind`` values of a list flag, or ``default`` when it is absent."""
+    if not text:
+        return default
+    try:
+        return [kind(x) for x in text.split(",")]
+    except ValueError:
+        raise ParameterError(f"{flag}: expected comma-separated {kind.__name__} values, "
+                             f"got {text!r}") from None
+
+
 def _fmt(value) -> str:
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
@@ -85,12 +106,7 @@ def _write_json(path, payload: dict) -> None:
 
 
 def _components_from_args(args) -> VectorWeierstrass:
-    preset = (
-        getattr(args, "figure1", False)
-        or getattr(args, "figure3", False)
-        or getattr(args, "figure_params", False)
-    )
-    if preset:
+    if any(getattr(args, flag, False) for flag in ("figure1", "figure3", "figure_params")):
         return VectorWeierstrass(
             [validate_component(c["b"], a=c["a"], phase=args.phase) for c in FIGURE_COMPONENTS]
         )
@@ -220,11 +236,8 @@ def _cmd_norms(args) -> int:
         return 0
     if args.norm_alpha is None:
         raise ParameterError("--alpha: required for the seminorm estimate")
-    truncation: object
-    if args.tol is not None:
-        truncation = TruncationPolicy.tolerance(args.tol, args.eps_prime)
-    else:
-        truncation = args.N if args.N is not None else 20
+    truncation = (TruncationPolicy.tolerance(args.tol, args.eps_prime) if args.tol is not None
+                  else args.N if args.N is not None else 20)
     est = rough_norm(v, truncation, args.norm_alpha, args.depth)
     _write_json(args.out, {
         **est.to_json_dict(),
@@ -235,7 +248,7 @@ def _cmd_norms(args) -> int:
 
 def _cmd_converge(args) -> int:
     v = _components_from_args(args)
-    Ns = [int(x) for x in args.Ns.split(",")] if args.Ns else list(range(4, 13))
+    Ns = _list_flag("--Ns", args.Ns, int, list(range(4, 13)))
     report = convergence_report(
         v, Ns,
         alpha=args.norm_alpha, eps=args.eps, beta=args.beta,
@@ -247,28 +260,17 @@ def _cmd_converge(args) -> int:
             "components": [c.to_config() for c in v.components],
         })
         return 0
-    meta = {
-        "fittedRatio": report.fitted_ratio,
-        "fittedRatioFirst": report.fitted_ratio_first,
-        "fittedRatioSecond": report.fitted_ratio_second,
-        "theoreticalRho": report.theoretical_rho,
-        "kappa": report.kappa,
-        "beta": report.beta,
-        "eps": report.eps,
-        "epsPrime": report.eps_prime,
-        "alpha": report.alpha,
-        "referenceLevel": report.reference_level,
-        "monotone": report.monotone,
-        "gridSpec": report.grid_spec,
-        **_meta_components(v),
-    }
+    keys = ("fittedRatio fittedRatioFirst fittedRatioSecond theoreticalRho kappa beta eps "
+            "epsPrime alpha referenceLevel monotone gridSpec").split()
+    report_dict = report.to_json_dict()
+    meta = {**{k: report_dict[k] for k in keys}, **_meta_components(v)}
     _write_csv(args.out, ["N", "supFirst", "supSecond"], report.csv_rows(), meta)
     return 0
 
 
 def _cmd_rde(args) -> int:
     v = _components_from_args(args)
-    y0 = np.array([float(x) for x in args.y0.split(",")]) if args.y0 else np.array([1.0, 0.0])
+    y0 = np.array(_list_flag("--y0", args.y0, float, [1.0, 0.0]))
     step = to_fraction(args.step) if args.step else None
     problem = RdeProblem(BilinearField(), v, y0, step=step)
     meta_common = {"y0": args.y0 or "1,0", **_meta_components(v)}
@@ -304,7 +306,7 @@ def _cmd_rde(args) -> int:
 def _cmd_demo(args) -> int:
     b = args.b[0] if args.b else 2
     a = Fraction(args.a[0]) if args.a else Fraction(18, 25)
-    Ns = [int(x) for x in args.Ns.split(",")] if args.Ns else list(range(1, 17))
+    Ns = _list_flag("--Ns", args.Ns, int, list(range(1, 17)))
     table = mixed_integral_table(b, float(a), Ns, to_fraction(args.s), to_fraction(args.t))
     header = ["N", "F1dG1", "F2dG2", "sumCombo", "diffCombo",
               "deltaF1dG1", "deltaF2dG2", "deltaSum", "deltaDiff"]
@@ -342,10 +344,9 @@ def build_parser() -> _Parser:
     _component_flags(p)
     p.add_argument("--N", type=int)
     p.add_argument("--grid-step", help="rational grid step, e.g. 1/1024")
-    p.add_argument("--points", type=int, default=2049, help="points for --figure1")
+    p.add_argument("--points", type=_at_least(2), default=2049, help="points for --figure1")
     p.add_argument("--figure1", action="store_true",
                    help="emit the two-panel preset for the standard parameter pair")
-    p.add_argument("--out")
     p.set_defaults(fn=_cmd_eval)
 
     p = sub.add_parser("lift", help="one rough increment as JSON")
@@ -355,7 +356,6 @@ def build_parser() -> _Parser:
     p.add_argument("--eps-prime", dest="eps_prime", type=float, default=0.1)
     p.add_argument("--s", default="0")
     p.add_argument("--t", default="1")
-    p.add_argument("--out")
     p.set_defaults(fn=_cmd_lift)
 
     p = sub.add_parser("norms", help="seminorm estimate, exponent fit, or witness")
@@ -368,7 +368,6 @@ def build_parser() -> _Parser:
     p.add_argument("--depth", type=int, default=10)
     p.add_argument("--estimate-exponent", action="store_true")
     p.add_argument("--witness", action="store_true")
-    p.add_argument("--out")
     p.set_defaults(fn=_cmd_norms)
 
     p = sub.add_parser("converge", help="convergence-rate report")
@@ -380,7 +379,6 @@ def build_parser() -> _Parser:
     p.add_argument("--eps-prime", dest="eps_prime", type=float, default=0.1)
     p.add_argument("--depth", type=int, default=8)
     p.add_argument("--json", action="store_true")
-    p.add_argument("--out")
     p.set_defaults(fn=_cmd_converge)
 
     p = sub.add_parser("rde", help="paths of dY = M(Y) dW for the 2x2 bilinear field")
@@ -394,7 +392,6 @@ def build_parser() -> _Parser:
     p.add_argument("--rough", action="store_true", help="use the rough stepper")
     p.add_argument("--figure3", action="store_true",
                    help="emit the three-level preset (N = 4, 8, 12)")
-    p.add_argument("--out")
     p.set_defaults(fn=_cmd_rde)
 
     p = sub.add_parser("demo", help="equal-base mixed-integral table")
@@ -402,7 +399,6 @@ def build_parser() -> _Parser:
     p.add_argument("--Ns", help="comma-separated levels (default 1..16)")
     p.add_argument("--s", default="0")
     p.add_argument("--t", default="7/10")
-    p.add_argument("--out")
     p.set_defaults(fn=_cmd_demo)
 
     p = sub.add_parser("bounds", help="elementary-integral bound diagnostics")
@@ -412,10 +408,11 @@ def build_parser() -> _Parser:
     p.add_argument("--ell", type=int, required=True)
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--phase", default="cos", choices=["cos", "sin"])
-    p.add_argument("--depth", type=int, default=10)
-    p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--out")
+    p.add_argument("--depth", type=_at_least(1), default=10)
+    p.add_argument("--samples", type=_at_least(1), default=100)
     p.set_defaults(fn=_cmd_bounds)
+    for p in sub.choices.values():
+        p.add_argument("--out")
     return parser
 
 

@@ -84,6 +84,23 @@ class TestExitCodes:
         code, _, err = run(["eval", "--nope"], capsys)
         assert code == 1
 
+    BOUNDS = ["bounds", "--b1", "2", "--b2", "3", "--n", "1", "--ell", "1", "--eps", "0.1"]
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["eval", "--figure-params", "--figure1", "--points", "1"], "--points"),
+        (["eval", "--figure-params", "--figure1", "--points", "0"], "--points"),
+        (["converge", "--figure-params", "--Ns", "4,x"], "--Ns"),
+        (["demo", "--Ns", "x"], "--Ns"),
+        (["rde", "--figure-params", "--y0", "1,x"], "--y0"),
+        (BOUNDS + ["--depth", "0"], "--depth"),
+        (BOUNDS + ["--samples", "0"], "--samples"),
+    ])
+    def test_bad_value_is_one_and_names_the_flag(self, argv, flag, tmp_path, capsys):
+        code, _, err = run(argv + ["--out", str(tmp_path / "out")], capsys)
+        assert code == 1
+        assert flag in err
+        assert not list(tmp_path.iterdir())
+
 
 class TestLift:
     def test_truncated_json(self, capsys):
