@@ -101,6 +101,11 @@ class TestExitCodes:
         assert flag in err
         assert not list(tmp_path.iterdir())
 
+    def test_bad_demo_amplitude_is_one(self, capsys):
+        code, _, err = run(["demo", "--a", "x", "--Ns", "1,2"], capsys)
+        assert code == 1
+        assert "'x'" in err
+
 
 class TestLift:
     def test_truncated_json(self, capsys):

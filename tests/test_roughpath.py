@@ -514,8 +514,8 @@ class TestSecondLevelRows:
         q_ref, wi_ref, wj_ref = rng.standard_normal((3, self.DEN + 1))
         q_n, wi_n, wj_n = (x + 1e-3 * rng.standard_normal(x.size) for x in (q_ref, wi_ref, wj_ref))
         rows, cols = self.blocks()[block]
-        shape = np.broadcast_shapes(np.shape(np.arange(self.DEN + 1)[rows]),
-                                    np.shape(np.arange(self.DEN + 1)[cols]))
+        idx = np.arange(self.DEN + 1)
+        shape = np.broadcast_shapes(idx[rows].shape, idx[cols].shape)
         two = (_kernel(q_ref, [wi_ref], [wj_ref], rows, cols, shape)
                - _kernel(q_n, [wi_n], [wj_n], rows, cols, shape))
         folded = _kernel(q_ref - q_n, [wi_ref, wi_ref - wi_n], [wj_ref - wj_n, wj_n],
