@@ -53,6 +53,11 @@ GOLDEN = (
                                "--depth", "12"]),
     ("norms_exponent.csv", ["norms", "--figure-params", "--estimate-exponent", "--N", "12",
                             "--depth", "8"]),
+    # the witness tail, summed exactly until its geometric remainder is negligible
+    ("norms_witness.json", ["norms", "--figure-params", "--witness", "--N", "10"]),
+    # d = 1 under a tolerance: the first-level tail alone sets the level
+    ("norms_d1_tol.json", ["norms", "--b", "2", "--a", "18/25", "--alpha", "0.46",
+                           "--tol", "1e-6", "--depth", "8"]),
     ("demo.csv", ["demo", "--Ns", "1,2,3,4", "--t", "7/10"]),
     ("bounds.csv", ["bounds", "--b1", "2", "--b2", "3", "--n", "2", "--ell", "3",
                     "--eps", "0.2", "--samples", "20"]),
