@@ -305,7 +305,7 @@ def _cmd_rde(args) -> int:
 
 def _cmd_demo(args) -> int:
     b = args.b[0] if args.b else 2
-    a = to_fraction(args.a[0]) if args.a else Fraction(18, 25)
+    a = validate_component(b, a=args.a[0]).a_rational if args.a else Fraction(18, 25)
     Ns = _list_flag("--Ns", args.Ns, int, list(range(1, 17)))
     table = mixed_integral_table(b, float(a), Ns, to_fraction(args.s), to_fraction(args.t))
     header = ["N", "F1dG1", "F2dG2", "sumCombo", "diffCombo",

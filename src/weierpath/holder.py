@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .phase import TrigTable
-from .weierstrass import Phase, WeierstrassComponent, eval_truncated_grid
+from .weierstrass import Phase, WeierstrassComponent, _geometric_tail_level, eval_truncated_grid
 
 __all__ = ["ExponentFit", "WitnessResult", "estimate_exponent", "nonconvergence_witness"]
 
@@ -82,23 +82,21 @@ class WitnessResult:
 def _tail_increment_ratio(c: WeierstrassComponent, N: int, t: Fraction) -> float:
     """|(W - W_N)(t) - (W - W_N)(0)| / t^alpha with the tail summed exactly.
 
-    Terms are added until the geometric remainder is below machine noise;
-    phases are reduced exactly, so each term is an exact rational multiple
-    of a cosine at a rational phase.
+    Terms are added up to the first mode whose geometric remainder is below
+    1e-19 (_geometric_tail_level); phases are reduced exactly, so each term
+    is an exact rational multiple of a cosine at a rational phase.
     """
+    top = _geometric_tail_level(c.a, 1e-19, N + 100000)
+    if top is None:
+        raise ParameterError("tail did not converge (a too close to 1)")
     terms_t = []
     terms_0 = []
     a_pow = c.a ** (N + 1)
-    n = N + 1
-    remainder_scale = 1.0 / (1.0 - c.a)
-    while a_pow * remainder_scale > 1e-19:
+    for n in range(N + 1, top + 1):
         scale = c.b**n
         terms_t.append(a_pow * c.trig(scale, t))
         terms_0.append(a_pow * c.trig(scale, Fraction(0)))
         a_pow *= c.a
-        n += 1
-        if n > N + 100000:
-            raise ParameterError("tail did not converge (a too close to 1)")
     diff = math.fsum(terms_t) - math.fsum(terms_0)
     return abs(diff) / float(t) ** c.alpha
 

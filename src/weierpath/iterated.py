@@ -52,10 +52,12 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .errors import ParameterError, ToleranceUnreachable
-from .phase import _MAX_TABLE_DEN, AffineNodes, TrigTable, cos_pi, phase_mod2, sin_pi, unit_time
+from .phase import (_MAX_TABLE_DEN, AffineNodes, TrigTable, cos_pi, phase_mod2, sin_pi,
+                    unit_interval, unit_time)
 from .quadrature import QuadratureResult, integrate
 from .weierstrass import (
     Phase,
+    TruncationPolicy,
     VectorWeierstrass,
     WeierstrassComponent,
     _kahan_modes,
@@ -77,6 +79,7 @@ __all__ = [
 ]
 
 DEFAULT_LIMIT_CAP = 128
+_PILOT = 20  # modes per component in the tail-constant calibration
 
 
 # ---------------------------------------------------------------------------
@@ -121,10 +124,7 @@ def _dsin(w: int, s: Fraction, t: Fraction) -> float:
 
 def elementary_integral(pair: FrequencyPair, s, t, phase: Phase = Phase.COSINE) -> float:
     """Closed-form int_s^t (trig(m pi r) - trig(m pi s)) d trig(k pi r)."""
-    s = unit_time(s)
-    t = unit_time(t)
-    if s > t:
-        raise ParameterError("requires s <= t")
+    s, t = unit_interval(s, t)
     if s == t:
         return 0.0
     m = pair.integrand_frequency
@@ -178,10 +178,7 @@ class _ElementaryIntegrand:
 def elementary_integral_quadrature(pair: FrequencyPair, s, t, phase: Phase = Phase.COSINE,
                                    tol: float = 1e-12) -> QuadratureResult:
     """Quadrature oracle for the elementary integral (independent of the closed form)."""
-    s = unit_time(s)
-    t = unit_time(t)
-    if s > t:
-        raise ParameterError("requires s <= t")
+    s, t = unit_interval(s, t)
     freq = pair.integrand_frequency + pair.integrator_frequency
     return integrate(_ElementaryIntegrand(pair, s, phase), s, t, tol=tol, frequency_hint=freq)
 
@@ -205,10 +202,7 @@ def iterated_integral_truncated(c1: WeierstrassComponent, c2: WeierstrassCompone
     """
     phase = _require_same_phase(c1, c2)
     N = _validate_level(N)
-    s = unit_time(s)
-    t = unit_time(t)
-    if s > t:
-        raise ParameterError("requires s <= t")
+    s, t = unit_interval(s, t)
     if s == t:
         return 0.0
     terms = []
@@ -250,76 +244,73 @@ def geometric_tail_bound(c1: WeierstrassComponent, c2: WeierstrassComponent,
 
 
 def _calibrate_tail_constant(c1: WeierstrassComponent, c2: WeierstrassComponent,
-                             s: Fraction, t: Fraction, eps_prime: float,
-                             pilot: int = 20) -> float:
+                             s: Fraction, t: Fraction, eps_prime: float) -> float:
     """Empirical constant for the mode bound |J| <= C b1^(e'n) b2^(e'ell).
 
     Twice the largest damped elementary integral over the pilot grid, with
-    the (pilot + 1) x (pilot + 1) matrix of J from scalar features in the
+    the (_PILOT + 1) x (_PILOT + 1) matrix of J from scalar features in the
     closed form of _levy_kernel, taken entry by entry.  The tail claim is
     validated a posteriori in the tests by deepening N.
     """
-    (T1, U1), (T2, U2) = ([x.T for x in _features(c, [c.b**n for n in range(pilot + 1)], [s, t])]
+    (T1, U1), (T2, U2) = ([x.T for x in _features(c, [c.b**n for n in range(_PILOT + 1)], [s, t])]
                           for c in (c1, c2))
-    G, H = _mode_pair_gh(c1.b, c2.b, pilot)
+    G, H = _mode_pair_gh(c1.b, c2.b, _PILOT)
     J = (G * (np.outer(T1[1], T2[1]) - np.outer(T1[0], T2[0]))
          + H * (np.outer(U1[1], U2[1]) - np.outer(U1[0], U2[0]))
          - np.outer(T1[0], T2[1] - T2[0]))
-    modes = np.arange(pilot + 1)
+    modes = np.arange(_PILOT + 1)
     damping = np.outer(c1.b ** (-eps_prime * modes), c2.b ** (-eps_prime * modes))
     return 2.0 * float(np.max(np.abs(J) * damping))
 
 
 def _tail_level(c1: WeierstrassComponent, c2: WeierstrassComponent, s: Fraction,
-                t: Fraction, tol: float, eps_prime: float, cap: int) -> tuple[int, float]:
-    """Smallest N <= cap whose empirical tail bound on [s, t] is at most tol, and that bound.
+                t: Fraction, tol: float, eps_prime: float) -> tuple[int, float]:
+    """Smallest N <= DEFAULT_LIMIT_CAP whose tail bound on [s, t] is at most tol, and that bound.
 
     Raises ToleranceUnreachable (carrying the bound at the cap) otherwise.
     """
     constant = _calibrate_tail_constant(c1, c2, s, t, eps_prime)
-    for N in range(cap + 1):
+    for N in range(DEFAULT_LIMIT_CAP + 1):
         bound = geometric_tail_bound(c1, c2, N, eps_prime, constant)
         if bound <= tol:
             return N, bound
-    reachable = geometric_tail_bound(c1, c2, cap, eps_prime, constant)
-    raise ToleranceUnreachable(
-        f"tolerance unreachable: tol={tol:g} needs more than N={cap} modes; "
-        f"reachable bound at the cap is {reachable:g}",
-        reachable_bound=reachable,
-        cap=cap,
-    )
+    raise _unreachable(tol, bound)
+
+
+def _unreachable(tol: float, reachable: float) -> ToleranceUnreachable:
+    """The error of a level search past DEFAULT_LIMIT_CAP, carrying the bound reachable there."""
+    return ToleranceUnreachable(f"tolerance unreachable: tol={tol:g} needs more than "
+                                f"N={DEFAULT_LIMIT_CAP} modes; reachable bound at the cap is "
+                                f"{reachable:g}", reachable_bound=reachable, cap=DEFAULT_LIMIT_CAP)
+
+
+def _pair_tail_levels(v: VectorWeierstrass, policy: TruncationPolicy, s: Fraction,
+                      t: Fraction) -> dict[tuple[int, int], tuple[int, float]]:
+    """(N, bound) of _tail_level for each pair i < j of v on [s, t], the only mode double sums.
+
+    Checks eps' < min alpha first (TruncationPolicy.check_eps_prime).
+    """
+    policy.check_eps_prime(min(v.alphas))
+    return {(i, j): _tail_level(ci, cj, s, t, policy.tol, policy.eps_prime)
+            for (i, ci), (j, cj) in combinations(enumerate(v.components), 2)}
 
 
 def iterated_integral_limit(c1: WeierstrassComponent, c2: WeierstrassComponent,
-                            s, t, tol: float, eps_prime: Optional[float] = None,
-                            n_cap: int = DEFAULT_LIMIT_CAP) -> LimitResult:
+                            s, t, tol: float, eps_prime: Optional[float] = None) -> LimitResult:
     """Limit of the truncated iterated integrals, to within an empirical tail bound.
 
-    Picks the smallest N whose geometric tail bound is below tol and
-    returns the level-N value together with that bound, whose constant is
-    empirical (_calibrate_tail_constant over a 20 x 20 pilot of modes).
+    The level-N value with the smallest N whose geometric tail bound is below
+    tol, and that bound, from the pair-level search shared with lift_limit
+    and the sweeps (_pair_tail_levels; eps_prime defaults to min alpha / 2).
     Raises ToleranceUnreachable (carrying the bound reachable at the cap)
-    if no N <= n_cap suffices.
+    if no N <= DEFAULT_LIMIT_CAP suffices.
     """
-    _require_same_phase(c1, c2)
-    s = unit_time(s)
-    t = unit_time(t)
-    if s > t:
-        raise ParameterError("requires s <= t")
-    if not (tol > 0):
-        raise ParameterError(f"tolerance must be positive, got {tol}")
-    if s == t:
-        return LimitResult(0.0, 0, 0.0)
-    min_alpha = min(c1.alpha, c2.alpha)
-    if eps_prime is None:
-        eps_prime = min_alpha / 2.0
-    if not (0 < eps_prime < min_alpha):
-        raise ParameterError(
-            f"eps_prime must lie in (0, min alpha) = (0, {min_alpha:.6f}), got {eps_prime}"
-        )
-    n_used, bound = _tail_level(c1, c2, s, t, tol, eps_prime, n_cap)
-    upper = _interval_upper(VectorWeierstrass([c1, c2]), [n_used], s, t)
-    return LimitResult(upper[n_used][0, 1], n_used, bound)
+    s, t = unit_interval(s, t)
+    v = VectorWeierstrass([c1, c2])
+    policy = TruncationPolicy.tolerance(tol, min(v.alphas) / 2 if eps_prime is None else eps_prime)
+    ((n_used, bound),) = _pair_tail_levels(v, policy, s, t).values()
+    value = _interval_upper(v, [n_used], s, t)[n_used][0, 1] if s < t else 0.0
+    return LimitResult(value, n_used, bound)
 
 
 # ---------------------------------------------------------------------------

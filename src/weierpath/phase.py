@@ -35,6 +35,7 @@ from .errors import ParameterError
 __all__ = [
     "to_fraction",
     "unit_time",
+    "unit_interval",
     "phase_mod2",
     "cos_pi",
     "sin_pi",
@@ -69,6 +70,14 @@ def unit_time(value) -> Fraction:
     if not (0 <= t <= 1):
         raise ParameterError(f"time {t} outside the interval [0, 1]")
     return t
+
+
+def unit_interval(s, t) -> tuple[Fraction, Fraction]:
+    """Validate and convert the ends of an interval [s, t] within [0, 1]."""
+    s, t = unit_time(s), unit_time(t)
+    if s > t:
+        raise ParameterError("requires s <= t")
+    return s, t
 
 
 def phase_mod2(scale: int, t: Fraction) -> Fraction:

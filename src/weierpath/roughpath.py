@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
 from typing import Optional, Sequence
 
 import numpy as np
@@ -43,12 +43,14 @@ from .iterated import (
     DEFAULT_LIMIT_CAP,
     _grid_lift,
     _interval_upper,
-    _tail_level,
+    _pair_tail_levels,
+    _unreachable,
 )
-from .phase import unit_time
+from .phase import unit_interval, unit_time
 from .weierstrass import (
     TruncationPolicy,
     VectorWeierstrass,
+    _geometric_tail_level,
     _validate_level,
     eval_limit,
     eval_vector,
@@ -123,14 +125,6 @@ class RoughNormEstimate:
         return out
 
 
-def _interval(s, t) -> tuple[Fraction, Fraction]:
-    s = unit_time(s)
-    t = unit_time(t)
-    if s > t:
-        raise ParameterError("requires 0 <= s <= t <= 1")
-    return s, t
-
-
 def _geometric_second(first: np.ndarray, upper: dict) -> np.ndarray:
     """Level 2 of a geometric lift from its first level and strict upper entries.
 
@@ -156,7 +150,7 @@ def lift_truncated(v: VectorWeierstrass, N: int, s, t) -> RoughIncrement:
     over the two ends for all pairs, run only when d > 1; the rest are
     derived from the first level (_geometric_second).
     """
-    s, t = _interval(s, t)
+    s, t = unit_interval(s, t)
     d = v.d
     if s == t:
         return RoughIncrement(s=s, t=t, first=np.zeros(d), second=np.zeros((d, d)))
@@ -169,24 +163,21 @@ def lift_limit(v: VectorWeierstrass, policy: TruncationPolicy, s, t) -> RoughInc
     """Limit lift over [s, t]: tail-exact first level, tolerance-bounded second.
 
     Each entry i < j is read at its own level, the smallest N whose
-    empirical tail bound on [s, t] is within the tolerance (_tail_level, as
-    in iterated_integral_limit); one _interval_upper pass at the distinct
-    levels serves every pair.  The rest follow from the first level
-    (_geometric_second).  Requires every component exponent above 1/3 (the
-    validity range of the level-2 lift); the error message names the
-    offending component.  A fixed level is lift_truncated's.
+    empirical tail bound on [s, t] is within the tolerance (_pair_tail_levels,
+    shared with iterated_integral_limit and _resolve_level); one
+    _interval_upper pass at the distinct levels serves every pair.  The
+    rest follow from the first level (_geometric_second).  Requires every
+    component exponent above 1/3 (the validity range of the level-2 lift);
+    the error message names the offending component.  A fixed level is
+    lift_truncated's.
     """
-    s, t = _interval(s, t)
+    s, t = unit_interval(s, t)
     v.require_lift_range()
-    policy.check_eps_prime(min(v.alphas))
+    level = {p: N for p, (N, _) in _pair_tail_levels(v, policy, s, t).items()}
     d = v.d
     if s == t:
         return RoughIncrement(s=s, t=t, first=np.zeros(d), second=np.zeros((d, d)))
     first = np.array([eval_limit(c, t) - eval_limit(c, s) for c in v.components])
-    cs = v.components
-    level = {(i, j): _tail_level(cs[i], cs[j], s, t, policy.tol, policy.eps_prime,
-                                 DEFAULT_LIMIT_CAP)[0]
-             for i, j in combinations(range(d), 2)}
     by_level = _interval_upper(v, sorted(set(level.values())), s, t) if level else {}
     upper = {p: by_level[N][p] for p, N in level.items()}
     return RoughIncrement(s=s, t=t, first=first, second=_geometric_second(first, upper))
@@ -398,25 +389,26 @@ def _area_sups(v: VectorWeierstrass, tables, levels: Sequence[int], blocks,
 
 
 def _resolve_level(v: VectorWeierstrass, truncation) -> int:
-    """Truncation level for a sweep: an int is a fixed level; a policy resolves deep enough."""
+    """Truncation level for a sweep: an int is a fixed level; a policy resolves deep enough.
+
+    A policy's level N is the smallest where, on [0, 1], each summed entry
+    A_ij, i < j, has a tail bound eps_ij <= tol (_pair_tail_levels) and each
+    first-level tail eps_i = 2 a_i^(N+1)/(1 - a_i) is below tol.  The derived
+    entries A_ii = X_i^2/2 and A_ji = X_i X_j - A_ij then err by at most
+    eps_i (|X_i| + eps_i/2) and eps_ij + eps_i |X_j| + eps_j |X_i| + eps_i eps_j.
+    A level past DEFAULT_LIMIT_CAP raises ToleranceUnreachable.
+    """
     if isinstance(truncation, (int, np.integer)) and not isinstance(truncation, bool):
         return _validate_level(truncation)
     if not isinstance(truncation, TruncationPolicy):
         raise ParameterError("truncation must be an int level or a TruncationPolicy")
-    truncation.check_eps_prime(min(v.alphas))
-    tol = truncation.tol
-    best = max(
-        _tail_level(c1, c2, Fraction(0), Fraction(1), tol, truncation.eps_prime,
-                    DEFAULT_LIMIT_CAP)[0]
-        for c1 in v.components
-        for c2 in v.components
-    )
+    levels = [N for N, _ in _pair_tail_levels(v, truncation, Fraction(0), Fraction(1)).values()]
     for c in v.components:
-        n = 0
-        while 2 * c.a ** (n + 1) / (1 - c.a) > tol and n < 4096:
-            n += 1
-        best = max(best, n)
-    return best
+        n = _geometric_tail_level(c.a, truncation.tol / 2, DEFAULT_LIMIT_CAP)
+        if n is None:
+            raise _unreachable(truncation.tol, 2 * c.a ** (DEFAULT_LIMIT_CAP + 1) / (1 - c.a))
+        levels.append(n)
+    return max(levels)
 
 
 def rough_norm(v: VectorWeierstrass, truncation, alpha: float, depth: int,

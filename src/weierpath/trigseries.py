@@ -34,7 +34,7 @@ from typing import Optional, Sequence
 
 from .errors import ParameterError
 from .iterated import _dcos, _dsin
-from .phase import cos_pi, phase_mod2, sin_pi, unit_time
+from .phase import cos_pi, phase_mod2, sin_pi, unit_interval, unit_time
 from .weierstrass import WeierstrassComponent
 
 __all__ = [
@@ -230,10 +230,7 @@ def mixed_integral_table(b: int, a: float, Ns: Sequence[int], s, t) -> MixedInte
         raise ParameterError("base b must be an integer >= 2")
     if not (0 < a < 1) or a * b <= 1:
         raise ParameterError("need 0 < a < 1 and a*b > 1")
-    s = unit_time(s)
-    t = unit_time(t)
-    if s > t:
-        raise ParameterError("requires s <= t")
+    s, t = unit_interval(s, t)
     Ns = sorted(set(int(N) for N in Ns))
     if Ns and Ns[0] < 1:
         raise ParameterError("levels must be >= 1 (modes start at n = 1)")

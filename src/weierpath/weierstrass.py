@@ -29,7 +29,6 @@ from .phase import (
     cos_pi,
     phase_mod2,
     sin_pi,
-    to_fraction,
     unit_time,
 )
 
@@ -130,21 +129,21 @@ def validate_component(b, *, a=None, alpha=None, phase=Phase.COSINE) -> Weierstr
     if (a is None) == (alpha is None):
         raise ParameterError("give exactly one of a and alpha")
     if a is not None:
-        a_rational = None
-        if isinstance(a, str) or isinstance(a, Fraction) or isinstance(a, int):
-            a_rational = to_fraction(a)
+        if isinstance(a, (str, Fraction, int)):
+            try:
+                a_rational = Fraction(a)
+            except (ValueError, ZeroDivisionError):
+                raise ParameterError(f"amplitude ratio a must be a rational such as 18/25, "
+                                     f"got {a!r}") from None
             a_float = float(a_rational)
         else:
             a_float = float(a)
-            a_exact = Fraction(a_float) if math.isfinite(a_float) else None
-            a_rational = a_exact
-        if not (0 < a_float < 1) or (a_rational is not None and not (0 < a_rational < 1)):
+            a_rational = Fraction(a_float) if math.isfinite(a_float) else None
+        # a_rational is None only for a non-finite float, which the range check rejects
+        if not (0 < a_float < 1):
             raise ParameterError(f"amplitude ratio a must lie in (0, 1), got {a}")
-        if a_rational is not None:
-            if a_rational * b <= 1:
-                raise ParameterError(f"a*b = {a_rational * b} violates a*b > 1")
-        elif a_float * b <= 1:
-            raise ParameterError(f"a*b = {a_float * b} violates a*b > 1")
+        if a_rational * b <= 1:
+            raise ParameterError(f"a*b = {a_rational * b} violates a*b > 1")
         alpha_val = _alpha_from_amplitude(b, a_float)
         return WeierstrassComponent(b=b, a=a_float, alpha=alpha_val, phase=phase, a_rational=a_rational)
     alpha = float(alpha)
@@ -243,16 +242,20 @@ def _validate_level(N: int) -> int:
     return int(N)
 
 
-def eval_truncated(c: WeierstrassComponent, N: int, t) -> float:
-    """Value of the level-N partial sum at t in [0, 1], exact phases."""
-    N = _validate_level(N)
-    t = unit_time(t)
+def _mode_sum(c: WeierstrassComponent, top: int, t: Fraction) -> float:
+    """math.fsum of a^n trig(b^n pi t) over n <= top, with a^n formed by repeated products."""
     terms = []
     a_pow = 1.0
-    for n in range(N + 1):
+    for n in range(top + 1):
         terms.append(a_pow * c.trig(c.b**n, t))
         a_pow *= c.a
     return math.fsum(terms)
+
+
+def eval_truncated(c: WeierstrassComponent, N: int, t) -> float:
+    """Value of the level-N partial sum at t in [0, 1], exact phases."""
+    N = _validate_level(N)
+    return _mode_sum(c, N, unit_time(t))
 
 
 def eval_derivative(c: WeierstrassComponent, N: int, t) -> float:
@@ -272,20 +275,28 @@ def eval_vector(v: VectorWeierstrass, N: int, t) -> np.ndarray:
     return np.array([eval_truncated(c, N, t) for c in v.components])
 
 
-def eval_limit(c: WeierstrassComponent, t, *, rel_tol: float = 1e-17, max_terms: int = 200000) -> float:
-    """Limit value of the full sum at t: geometric tail summed below rel_tol."""
+def _geometric_tail_level(a: float, threshold: float, cap: int) -> Optional[int]:
+    """Smallest n <= cap with a^(n+1)/(1 - a) below threshold, or None.
+
+    The one first-level tail search (eval_limit, the witness tail, sweep
+    levels); a^(n+1) is formed by repeated products, as the sums form theirs.
+    """
+    scale = 1.0 / (1.0 - a)
+    a_pow = a
+    for n in range(cap + 1):
+        if a_pow * scale < threshold:
+            return n
+        a_pow *= a
+    return None
+
+
+def eval_limit(c: WeierstrassComponent, t) -> float:
+    """Limit value of the full sum at t: the modes up to the first whose tail is below 1e-17."""
     t = unit_time(t)
-    terms = []
-    a_pow = 1.0
-    scale_bound = 1.0 / (1.0 - c.a)
-    for n in range(max_terms):
-        terms.append(a_pow * c.trig(c.b**n, t))
-        a_pow *= c.a
-        if a_pow * scale_bound < rel_tol:
-            break
-    else:
-        raise ParameterError("tail did not fall below rel_tol within max_terms")
-    return math.fsum(terms)
+    top = _geometric_tail_level(c.a, 1e-17, 200000 - 1)
+    if top is None:
+        raise ParameterError("tail did not fall below 1e-17 within 200000 terms")
+    return _mode_sum(c, top, t)
 
 
 def _kahan_update(acc: np.ndarray, comp: np.ndarray, term: np.ndarray) -> None:

@@ -102,9 +102,13 @@ class TestExitCodes:
         assert not list(tmp_path.iterdir())
 
     def test_bad_demo_amplitude_is_one(self, capsys):
-        code, _, err = run(["demo", "--a", "x", "--Ns", "1,2"], capsys)
-        assert code == 1
-        assert "'x'" in err
+        # validate_component parses the amplitude, so the message names it
+        for argv, value in ((["demo", "--a", "x", "--Ns", "1,2"], "x"),
+                            (["eval", "--b", "2", "--a", "x"], "x"),
+                            (["eval", "--b", "2", "--a", "1/0"], "1/0")):
+            code, _, err = run(argv, capsys)
+            assert code == 1
+            assert f"amplitude ratio a must be a rational such as 18/25, got '{value}'" in err
 
 
 class TestLift:

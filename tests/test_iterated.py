@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from weierpath import (
     ParameterError,
     Phase,
     ToleranceUnreachable,
+    TruncationPolicy,
     VectorWeierstrass,
     bound_diagnostics,
     elementary_integral,
@@ -32,6 +34,7 @@ from weierpath.iterated import (
 )
 from weierpath.phase import _MAX_TABLE_DEN, TrigTable, cos_pi, phase_mod2
 from weierpath.quadrature import integrate
+from weierpath.roughpath import _resolve_level
 from weierpath.weierstrass import eval_truncated_grid
 
 
@@ -272,6 +275,34 @@ class TestTailAudit:
         res = iterated_integral_limit(comp_b2, comp_b3, s, t, tol=tol, eps_prime=0.3)
         assert res.n_used == DEFAULT_LIMIT_CAP
         assert _audit_gap(comp_b2, comp_b3, s, t, res) <= res.tail_bound
+
+
+    @pytest.mark.parametrize("spec", [((2, "18/25"), (3, "3/5")), ((2, "18/25"),)],
+                             ids=["figure", "d1"])
+    def test_derived_entries_at_the_resolved_level(self, spec):
+        # a tolerance calibrates only the pairs i < j; the first level moves
+        # by at most eps_i = 2 a_i^(N+1)/(1 - a_i), so A_ii = X_i^2/2 moves by
+        # at most eps_i (|X_i| + eps_i/2) and A_ji = X_i X_j - A_ij by at most
+        # eps_ij + eps_i |X_j| + eps_j |X_i| + eps_i eps_j
+        v = VectorWeierstrass([validate_component(b, a=a) for b, a in spec])
+        cs = v.components
+        N = _resolve_level(v, TruncationPolicy.tolerance(1e-6, 0.1))
+        eps = np.array([2 * c.a ** (N + 1) / (1 - c.a) for c in cs])
+        # on dyadic intervals the base-2 tail increments vanish; the last two do not
+        for s, t in [(0, 1), (0, Fraction(1, 2)), (Fraction(1, 4), Fraction(3, 4)),
+                     (Fraction(5, 8), Fraction(3, 4)), (Fraction(3, 40), Fraction(31, 40)),
+                     (Fraction(1, 3), Fraction(5, 7))]:
+            inc = lift_truncated(v, N, s, t)
+            deeper = lift_truncated(v, N + _AUDIT_DEPTH, s, t)
+            x = np.abs(inc.first)
+            gap = np.abs(deeper.second - inc.second)
+            assert np.all(np.abs(deeper.first - inc.first) <= eps)
+            assert np.all(np.diag(gap) <= eps * (x + eps / 2))
+            for i, j in combinations(range(v.d), 2):
+                constant = _calibrate_tail_constant(cs[i], cs[j], s, t, 0.1)
+                pair = geometric_tail_bound(cs[i], cs[j], N, 0.1, constant)
+                assert gap[i, j] <= pair
+                assert gap[j, i] <= pair + eps[i] * x[j] + eps[j] * x[i] + eps[i] * eps[j]
 
 
 @pytest.mark.parametrize("b1,b2", [(2, 3), (2, 4), (3, 3)])

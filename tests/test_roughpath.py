@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -17,12 +18,14 @@ from weierpath import (
     lift_limit,
     lift_truncated,
     polyline_signed_area,
+    iterated,
     rough_norm,
     roughpath,
     validate_component,
 )
 from weierpath.iterated import (
     _BLOCK,
+    DEFAULT_LIMIT_CAP,
     iterated_integral_limit,
     iterated_integral_truncated,
     iterated_pairs,
@@ -153,6 +156,17 @@ _DERIVED_DRIVERS = {
     "sine_dependent": ((8, "2/5", "sin"), (2, "18/25", "sin")),
     "d3": ((2, "18/25", "cos"), (3, "3/5", "cos"), (8, "2/5", "cos")),
 }
+
+_LEVEL_DRIVERS = {
+    "d1": ((2, "18/25"),),
+    "figure": ((2, "18/25"), (3, "3/5")),
+    "d3": ((2, "18/25"), (3, "3/5"), (5, "1/2")),
+}
+
+
+def _level_driver(name):
+    return VectorWeierstrass([validate_component(b, a=a) for b, a in _LEVEL_DRIVERS[name]])
+
 
 _drivers = st.sampled_from(sorted(_DERIVED_DRIVERS)).map(
     lambda name: VectorWeierstrass(
@@ -361,11 +375,48 @@ class TestRoughNorm:
         assert est.area_part > 0
         assert "level N=" in est.grid_spec
 
-    def test_tolerance_level_of_the_figure_pair(self, figure_pair):
-        assert _resolve_level(figure_pair, TruncationPolicy.tolerance(1e-6, 0.1)) == 73
+    # the level is the deepest of the pair levels i < j on [0, 1] and the
+    # first-level levels; the diagonal pairs are not calibrated, and they had
+    # set the level at 1e-10 (109) and for d = 1 (73)
+    @pytest.mark.parametrize("driver,tol,level", [("figure", 1e-6, 73), ("d3", 1e-6, 75),
+                                                  ("figure", 1e-10, 108), ("d1", 1e-6, 48)])
+    def test_tolerance_level_of_the_figure_pair(self, driver, tol, level):
+        v = _level_driver(driver)
+        assert _resolve_level(v, TruncationPolicy.tolerance(tol, 0.1)) == level
+
+    @pytest.mark.parametrize("driver,calls", [("d1", 0), ("figure", 1), ("d3", 3)])
+    def test_level_calibrates_only_the_summed_pairs(self, driver, calls, monkeypatch):
+        made = []
+        calibrate = iterated._calibrate_tail_constant
+
+        def counting(c1, c2, *args):
+            made.append((c1, c2))
+            return calibrate(c1, c2, *args)
+
+        monkeypatch.setattr(iterated, "_calibrate_tail_constant", counting)
+        v = _level_driver(driver)
+        _resolve_level(v, TruncationPolicy.tolerance(1e-6, 0.1))
+        assert len(made) == calls
+        assert made == list(combinations(v.components, 2))
+
+    def test_unreachable_level_raises(self, figure_pair):
         with pytest.raises(ToleranceUnreachable, match="unreachable") as exc:
             _resolve_level(figure_pair, TruncationPolicy.tolerance(1e-30, 0.1))
         assert exc.value.cap == 128 and exc.value.reachable_bound > 0
+        # d = 1: the first-level tail alone passes the cap
+        v = VectorWeierstrass([validate_component(2, alpha=0.01)])
+        with pytest.raises(ToleranceUnreachable, match="unreachable") as exc:
+            _resolve_level(v, TruncationPolicy.tolerance(1e-12, 0.005))
+        assert exc.value.cap == DEFAULT_LIMIT_CAP and exc.value.reachable_bound > 1e-12
+
+    def test_first_level_at_the_cap(self):
+        c = validate_component(2, alpha=0.1)
+        at_cap = 2 * c.a ** (DEFAULT_LIMIT_CAP + 1) / (1 - c.a)
+        v = VectorWeierstrass([c])
+        assert _resolve_level(v, TruncationPolicy.tolerance(1.000001 * at_cap, 0.05)) == 128
+        with pytest.raises(ToleranceUnreachable) as exc:
+            _resolve_level(v, TruncationPolicy.tolerance(0.999999 * at_cap, 0.05))
+        assert exc.value.reachable_bound == pytest.approx(at_cap, rel=1e-12)
 
     def test_json_keys(self, figure_pair):
         est = rough_norm(figure_pair, 8, 0.46, 6)
