@@ -135,15 +135,13 @@ def validate_component(b, *, a=None, alpha=None, phase=Phase.COSINE) -> Weierstr
             except (ValueError, ZeroDivisionError):
                 raise ParameterError(f"amplitude ratio a must be a rational such as 18/25, "
                                      f"got {a!r}") from None
-            a_float = float(a_rational)
         else:
-            a_float = float(a)
-            a_rational = Fraction(a_float) if math.isfinite(a_float) else None
-        # a_rational is None only for a non-finite float, which the range check rejects
-        if not (0 < a_float < 1):
+            a_rational = Fraction(float(a)) if math.isfinite(float(a)) else None
+        if a_rational is None or not (0 < a_rational < 1 and 0 < float(a_rational) < 1):
             raise ParameterError(f"amplitude ratio a must lie in (0, 1), got {a}")
         if a_rational * b <= 1:
             raise ParameterError(f"a*b = {a_rational * b} violates a*b > 1")
+        a_float = float(a_rational)
         alpha_val = _alpha_from_amplitude(b, a_float)
         return WeierstrassComponent(b=b, a=a_float, alpha=alpha_val, phase=phase, a_rational=a_rational)
     alpha = float(alpha)

@@ -50,8 +50,10 @@ class TestValidateComponent:
             validate_component(2.5, a="3/5")
 
     def test_amplitude_range_rejected(self):
-        with pytest.raises(ParameterError, match="a must lie"):
-            validate_component(2, a="5/4")
+        # 1e400 is too large for a float and 1e-400 rounds to 0.0
+        for a in ("5/4", "1e400", "1e-400", float("inf"), float("nan"), 1.0):
+            with pytest.raises(ParameterError, match="a must lie"):
+                validate_component(2, a=a)
         with pytest.raises(ParameterError, match="alpha"):
             validate_component(2, alpha=1.5)
 
