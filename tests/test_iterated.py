@@ -276,7 +276,6 @@ class TestTailAudit:
         assert res.n_used == DEFAULT_LIMIT_CAP
         assert _audit_gap(comp_b2, comp_b3, s, t, res) <= res.tail_bound
 
-
     @pytest.mark.parametrize("spec", [((2, "18/25"), (3, "3/5")), ((2, "18/25"),)],
                              ids=["figure", "d1"])
     def test_derived_entries_at_the_resolved_level(self, spec):

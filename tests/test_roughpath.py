@@ -14,11 +14,11 @@ from weierpath import (
     area_holder_sup,
     chen_residual,
     convergence_report,
+    iterated,
     levy_area,
     lift_limit,
     lift_truncated,
     polyline_signed_area,
-    iterated,
     rough_norm,
     roughpath,
     validate_component,
@@ -413,7 +413,7 @@ class TestRoughNorm:
         c = validate_component(2, alpha=0.1)
         at_cap = 2 * c.a ** (DEFAULT_LIMIT_CAP + 1) / (1 - c.a)
         v = VectorWeierstrass([c])
-        assert _resolve_level(v, TruncationPolicy.tolerance(1.000001 * at_cap, 0.05)) == 128
+        assert _resolve_level(v, TruncationPolicy.tolerance(1.000001 * at_cap, 0.05)) == DEFAULT_LIMIT_CAP
         with pytest.raises(ToleranceUnreachable) as exc:
             _resolve_level(v, TruncationPolicy.tolerance(0.999999 * at_cap, 0.05))
         assert exc.value.reachable_bound == pytest.approx(at_cap, rel=1e-12)
