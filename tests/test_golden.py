@@ -46,6 +46,13 @@ GOLDEN = (
                                "--json"]),
     ("norms_depth12.json", ["norms", "--figure-params", "--alpha", "0.46", "--N", "8",
                             "--depth", "12"]),
+    # bands split over several row chunks: the benchmark's depth-13 sweep
+    # (separations <= 32, 2 chunks) and depth 14 (<= 64, 8 chunks) with the
+    # weighted band and the Hoelder part
+    ("converge_depth13.json", ["converge", "--figure-params", "--Ns", "4,5,6,7,8,9,10,11,12",
+                               "--eps-prime", "0.1", "--depth", "13", "--json"]),
+    ("norms_depth14.json", ["norms", "--figure-params", "--alpha", "0.46", "--N", "8",
+                            "--depth", "14"]),
     # d = 3 (bases 2, 3, 5): the sweeps over all nine entries
     ("converge_d3_depth12.json", ["converge", *D3_FLAGS, "--Ns", "3,5", "--depth", "12",
                                   "--json"]),
