@@ -18,11 +18,14 @@ prefix values A_N(0, .) and the first level, so a pair costs O(1) instead
 of O(modes^2).  Every grid diagnostic runs one second-level sweep,
 _area_sups, over the pair set its grid spec names (every pair s < t up to
 FULL_SWEEP_DEPTH; beyond it the pairs of a stride subgrid and every
-separation up to 8 strides) in blocks with no masked work.  Per block,
-entry and level the sweep is one rank-(r + 2) matrix product of small
-factors gathered from grid tables (_second_level_rows): r = 1 for A_N,
-r = 2 for its distance to a reference level.  All results are sups over
-finite grids and therefore lower bounds of the true seminorms.
+separation up to 8 strides).  Per block, entry and level the sweep is one
+rank-(r + 2) product of small factors gathered from grid tables
+(_second_level_rows): a matrix product on a coarse block of the
+(sub)grid, and one einsum against a sliding window of the t-factors on a
+band chunk, which holds every short separation of a range of start
+points.  r = 1 for A_N, r = 2 for its distance to a reference level.  All
+results are sups over finite grids and therefore lower bounds of the true
+seminorms.
 
 Pure functions on immutable inputs throughout; reductions are max/sup, so
 evaluation order cannot change any result.
@@ -37,6 +40,7 @@ from itertools import product
 from typing import Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ParameterError
 from .iterated import (
@@ -272,28 +276,37 @@ def _grid_spec(depth: int, what: str) -> str:
 _ROW_CHUNK = 64
 
 
-def _band_block(den: int, k: int):
-    """The pairs (s, s + k) of the whole grid as one contiguous 1-D block."""
-    n = den + 1 - k
-    return slice(0, n), slice(k, den + 1), np.full(n, k, dtype=np.int64) / den, None
+def _band_block(den: int, K: int, lo: int = 0, hi: Optional[int] = None):
+    """The pairs (s, s + k), lo <= s < hi (default den) and 1 <= k <= K, as one band chunk.
+
+    rows is the slice [lo, hi); cols, dt and drop are (K, hi - lo) views,
+    row k - 1 holding separation k, so the chunk costs O(hi - lo + K)
+    memory.  cols holds t clipped to den; ``drop`` marks the pairs with
+    t > den (None when there are none).
+    """
+    hi = den if hi is None else hi
+    t = np.arange(lo, hi + K, dtype=np.int64)
+    past = t > den
+    dt = np.broadcast_to(np.arange(1, K + 1, dtype=np.int64)[:, None] / den, (K, hi - lo))
+    return (slice(lo, hi), sliding_window_view(np.minimum(t, den), hi - lo)[1:], dt,
+            sliding_window_view(past, hi - lo)[1:] if past.any() else None)
 
 
 def _pair_blocks(den: int, depth: int):
     """Yield (rows, cols, dt, drop) blocks holding exactly the pairs _grid_spec names.
 
     rows and cols index s and t and broadcast against each other into the
-    block; dt = (t - s) / den per pair.  A coarse block is 2-D: rows is an
-    index column and cols an index row, so _second_level_rows computes it as
-    one matrix product.  A band block is 1-D: rows and cols are slices of
-    equal length, computed row by row.  A coarse block pairs a chunk
+    block; dt = (t - s) / den per pair.  A coarse block pairs a chunk
     [lo, hi) of the grid (or, beyond FULL_SWEEP_DEPTH, of its
-    stride-2^(depth-11) subgrid) with the columns from lo + 1 on, so every
-    pair s < t is swept once and the pairs s >= t lie only in the leading
-    (hi - lo) x (hi - lo) square.  ``drop`` marks them there; their dt is
-    1/den, and consumers zero them (_zero_dropped).  Beyond FULL_SWEEP_DEPTH,
-    one band block per separation k <= 8 strides adds every fine pair
-    (s, s + k); bands hold no pair s >= t and have drop None.  Estimates
-    remain lower bounds of the true sup.
+    stride-2^(depth-11) subgrid), an index column, with the columns from
+    lo + 1 on, an index row, so every pair s < t is swept once and the pairs
+    s >= t lie only in the leading (hi - lo) x (hi - lo) square.  ``drop``
+    marks them there; their dt is 1/den, and consumers zero them
+    (_zero_dropped).  Beyond FULL_SWEEP_DEPTH, band chunks (_band_block) add
+    every fine pair (s, s + k) with k <= K = 8 strides: each covers all K
+    separations for a range of start points, of _ROW_CHUNK x subgrid points
+    / K rows, so no block holds more than _ROW_CHUNK x subgrid points pairs.
+    Estimates remain lower bounds of the true sup.
     """
     stride = 1 << max(depth - FULL_SWEEP_DEPTH, 0)
     grid = np.arange(0, den + 1, stride, dtype=np.int64)
@@ -306,12 +319,14 @@ def _pair_blocks(den: int, depth: int):
         np.copyto(square, 1, where=drop)
         yield rows, cols, sep / den, drop
     if stride > 1:
-        for k in range(1, 8 * stride + 1):
-            yield _band_block(den, k)
+        K = 8 * stride
+        h = _ROW_CHUNK * grid.size // K
+        for lo in range(0, den, h):
+            yield _band_block(den, K, lo, min(lo + h, den))
 
 
 def _zero_dropped(x, drop):
-    """Zero a block's pairs s >= t, which lie in its leading square."""
+    """Zero a block's dropped pairs, which lie in its leading columns."""
     if drop is not None:
         np.copyto(x[:, : drop.shape[1]], 0.0, where=drop)
     return x
@@ -324,28 +339,41 @@ def _second_level_rows(q, wi, wj, rows, cols, out, tmp):
     with x_k = wi[k] - wi[k][0] and y_k = wj[k]; r = 1 with (W_i,), (W_j,)
     and q = A_ij(0, .) gives A_ij by Chen.  Since A(s, t) = q(t) - p(s) -
     sum_k x_k(s) y_k(t) with p = q - sum_k x_k y_k, the block is the
-    rank-(r + 2) product [1, -p, -x_1, ...][rows] @ [q; 1; y_1; ...][cols]:
-    one matmul for a 2-D block, a row-wise einsum for a 1-D band, whose
-    rows and cols are slices of equal length (_pair_blocks).  ``tmp`` is
-    the (r + 2, m + n) scratch for the two factors of a block of m rows and
-    n cols (m = n for a band of n pairs).
+    rank-(r + 2) product of the left factors [1, -p, -x_1, ...] over the s's
+    and the right factors [q; 1; y_1; ...] over the t's.  A coarse block
+    (rows an index column, cols an index row) is one matmul.  A band chunk
+    (rows the slice [lo, hi), out of shape (K, hi - lo)) takes its right
+    factors over t in [lo, hi + K), zero past the grid end, and is one
+    einsum against their sliding window: out[k - 1, s - lo] = A(s, s + k),
+    with no t-factor copied per separation.  ``tmp`` is an (r + 2, b + 2c)
+    scratch for an out of shape (b, c).
     """
-    h = out.shape[0]
-    left, right = tmp[:, :h], tmp[:, h:]
-    rows = rows.ravel() if out.ndim == 2 else rows
+    band = isinstance(rows, slice)
+    if band:  # right factors over t in [lo, hi + K), the live ones up to den
+        h = out.shape[1]
+        n = h + out.shape[0]
+        cols = slice(rows.start, min(rows.start + n, q.size))
+        m = cols.stop - cols.start
+    else:
+        h = out.shape[0]
+        n = m = cols.size
+        rows = rows.ravel()
+    left, right = tmp[:, :h], tmp[:, h : h + n]
+    live = right[:, :m]
+    right[:, m:] = 0.0
     left[0] = 1.0
     left[1] = q[rows]
-    right[0] = q[cols]
-    right[1] = 1.0
+    live[0] = q[cols]
+    live[1] = 1.0
     for k, (x, y) in enumerate(zip(wi, wj), 2):
         np.subtract(x[0], x[rows], out=left[k])
         left[1] += left[k] * y[rows]
-        right[k] = y[cols]
+        live[k] = y[cols]
     np.negative(left[1], out=left[1])
-    if out.ndim == 2:
-        np.matmul(left.T, right, out=out)
+    if band:
+        np.einsum("rs,rks->ks", left, sliding_window_view(right, h, axis=1)[:, 1:], out=out)
     else:
-        np.einsum("ki,ki->i", left, right, out=out)
+        np.matmul(left.T, right, out=out)
 
 
 def _area_sups(v: VectorWeierstrass, tables, levels: Sequence[int], blocks,
@@ -353,15 +381,16 @@ def _area_sups(v: VectorWeierstrass, tables, levels: Sequence[int], blocks,
     """(len(levels), d, d) sups of |A_N(s, t) - A_ref(s, t)| over the pairs of ``blocks``.
 
     The one second-level sweep of the grid diagnostics, on ``tables`` from
-    _level_tables: one _second_level_rows product per block, entry and
-    level.  Without ``ref`` the distance is |A_N| (rank 3).  With ``ref``
-    the difference is folded into one rank-4 product whose terms stay
-    small: A_ref - A_N = dQ(t) - dQ(s) - u(s) (dY(t) - dY(s)) - du(s)
+    _level_tables and the blocks of _pair_blocks (coarse blocks and band
+    chunks): one _second_level_rows product per block, entry and level.
+    Without ``ref`` the distance is |A_N| (rank 3).  With ``ref`` the
+    difference is folded into one rank-4 product whose terms stay small:
+    A_ref - A_N = dQ(t) - dQ(s) - u(s) (dY(t) - dY(s)) - du(s)
     (W_N,j(t) - W_N,j(s)), with dQ = Q_ref - Q_N, dY = W_ref,j - W_N,j,
     u = W_ref,i - W_ref,i(0) and du its difference with the level's.
     With ``expo`` entry (i, j) is weighted by |t - s|^-expo[i, j], each
-    block's weights built once per distinct exponent; without it pairs
-    s >= t are zeroed.  The sup of a block is max(max, -min).
+    block's weights built once per distinct exponent; without it the
+    dropped pairs are zeroed.  The sup of a block is max(max, -min).
     """
     _, W, Q = tables
     if ref is None:
@@ -376,7 +405,7 @@ def _area_sups(v: VectorWeierstrass, tables, levels: Sequence[int], blocks,
     exponents = () if expo is None else set(expo.flat)
     for rows, cols, dt, drop in blocks:
         a = np.empty(dt.shape)
-        tmp = np.empty((rank, dt.shape[0] + dt.shape[-1]))
+        tmp = np.empty((rank, dt.shape[0] + 2 * dt.shape[1]))
         weights = {e: _zero_dropped(dt**-e, drop) for e in exponents}
         for k, i, j, q, wi, wj in calls:
             _second_level_rows(q, wi, wj, rows, cols, a, tmp)

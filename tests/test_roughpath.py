@@ -34,7 +34,7 @@ from weierpath.phase import _MAX_TABLE_DEN, TrigTable
 from weierpath.rde import _lift_table
 from weierpath.roughpath import (
     FULL_SWEEP_DEPTH,
-    _band_block,
+    _ROW_CHUNK,
     _level_tables,
     _pair_blocks,
     _resolve_level,
@@ -478,32 +478,45 @@ class TestAreaHolderSup:
 
 
 class TestPairBlocks:
-    @pytest.mark.parametrize("depth", [6, FULL_SWEEP_DEPTH, FULL_SWEEP_DEPTH + 1])
+    @pytest.mark.parametrize("depth", [6, FULL_SWEEP_DEPTH, FULL_SWEEP_DEPTH + 1,
+                                       FULL_SWEEP_DEPTH + 2])
     def test_weighted_pairs_are_the_named_set(self, depth):
+        # pairs as codes s (den + 1) + t: a dense (den + 1)^2 mask is 67 MB at depth 13,
+        # where the band splits into two chunks
         den = 1 << depth
         idx = np.arange(den + 1)
-        covered = np.zeros((den + 1, den + 1), dtype=bool)
+        stride = 1 << max(depth - FULL_SWEEP_DEPTH, 0)
+        sub = idx[::stride]
+        covered = []
         for rows, cols, dt, drop in _pair_blocks(den, depth):
+            assert dt.size <= _ROW_CHUNK * sub.size  # the bound that keeps peak RSS level
             s, t = np.broadcast_arrays(idx[rows], idx[cols])
             assert s.shape == dt.shape
             weighted = _zero_dropped(dt**-0.5, drop) != 0
             s, t = s[weighted], t[weighted]
             assert np.all(s < t)
             assert np.array_equal(dt[weighted], (t - s) / den)
-            covered[s, t] = True
-        ones = np.ones_like(covered)
-        named = np.triu(ones, 1)  # every s < t
-        if depth > FULL_SWEEP_DEPTH:
-            stride = 1 << (depth - FULL_SWEEP_DEPTH)
-            on_sub = idx % stride == 0
-            short = ~np.triu(ones, 8 * stride + 1)  # t - s <= 8 strides
-            named &= (on_sub[:, None] & on_sub[None, :]) | short
-        assert np.array_equal(covered, named)
+            covered.append(s * (den + 1) + t)
+        # every s < t of the subgrid, and beyond FULL_SWEEP_DEPTH every t - s <= 8 strides
+        s, t = np.triu_indices(sub.size, 1)
+        named = [sub[s] * (den + 1) + sub[t]]
+        if stride > 1:
+            s, t = np.broadcast_arrays(idx[:, None], idx[:, None] + np.arange(1, 8 * stride + 1))
+            named.append((s * (den + 1) + t)[t <= den])
+        assert np.array_equal(_distinct(covered), _distinct(named))
+
+
+
+def _distinct(codes):
+    """The sorted distinct values of a list of arrays (a sort, where np.unique is far slower)."""
+    codes = np.sort(np.concatenate(codes))
+    return codes[np.diff(codes, prepend=-1) != 0]
 
 
 def _kernel(q, wi, wj, rows, cols, shape):
     out = np.empty(shape)
-    _second_level_rows(q, wi, wj, rows, cols, out, np.empty((len(wi) + 2, shape[0] + shape[-1])))
+    _second_level_rows(q, wi, wj, rows, cols, out,
+                       np.empty((len(wi) + 2, shape[0] + 2 * shape[-1])))
     return out
 
 
@@ -516,11 +529,14 @@ class TestSecondLevelRows:
 
     @classmethod
     def blocks(cls):
-        coarse = next(_pair_blocks(cls.DEN, cls.DEPTH))  # stride 2, with its dropped square
+        """{name: (rows, cols, past_end)}; past_end marks the band's pairs with t > den."""
+        coarse, *_, band = _pair_blocks(cls.DEN, cls.DEPTH)
         return {
-            "rectangle": (np.arange(5, 40)[:, None], np.arange(100, 400)),
-            "band": _band_block(cls.DEN, 3)[:2],
-            "stride_subgrid": coarse[:2],
+            "rectangle": (np.arange(5, 40)[:, None], np.arange(100, 400), None),
+            # the last band chunk: its separations reach past the grid end
+            "band": (band[0], band[1], band[3]),
+            # stride 2, with its dropped square, which follows the formula too
+            "stride_subgrid": (coarse[0], coarse[1], None),
         }
 
     def tables(self, r, seed):
@@ -536,13 +552,18 @@ class TestSecondLevelRows:
     @pytest.mark.parametrize("block", ["rectangle", "band", "stride_subgrid"])
     def test_matches_direct_formula(self, r, block):
         q, wi, wj = self.tables(r, seed=10 * r + len(block))
-        rows, cols = self.blocks()[block]
+        rows, cols, past_end = self.blocks()[block]
         idx = np.arange(self.DEN + 1)
         s, t = np.broadcast_arrays(idx[rows], idx[cols])
         want = q[t] - q[s] - sum((x[s] - x[0]) * (y[t] - y[s]) for x, y in zip(wi, wj))
         got = _kernel(q, wi, wj, rows, cols, s.shape)
+        kept = np.ones(s.shape, dtype=bool)
+        if past_end is not None:
+            assert past_end.any()
+            assert np.all(got[past_end] == 0)  # the zero columns past the grid end
+            kept = ~past_end
         # 2(r + 2) roundings of terms at most the scale on each side
-        assert np.abs(got - want).max() <= 4 * (r + 2) * self.EPS * self.scale(q, wi, wj)
+        assert np.abs(got - want)[kept].max() <= 4 * (r + 2) * self.EPS * self.scale(q, wi, wj)
 
     @pytest.mark.parametrize("r", [1, 2])
     def test_dropped_square_is_zero_on_the_diagonal(self, r):
@@ -564,7 +585,7 @@ class TestSecondLevelRows:
         rng = np.random.default_rng(7)
         q_ref, wi_ref, wj_ref = rng.standard_normal((3, self.DEN + 1))
         q_n, wi_n, wj_n = (x + 1e-3 * rng.standard_normal(x.size) for x in (q_ref, wi_ref, wj_ref))
-        rows, cols = self.blocks()[block]
+        rows, cols, past_end = self.blocks()[block]
         idx = np.arange(self.DEN + 1)
         shape = np.broadcast_shapes(idx[rows].shape, idx[cols].shape)
         two = (_kernel(q_ref, [wi_ref], [wj_ref], rows, cols, shape)
@@ -576,6 +597,8 @@ class TestSecondLevelRows:
                                  + self.scale(q_n, [wi_n], [wj_n]))
         assert np.abs(folded - two).max() <= bound
         assert np.abs(two).max() > 1e3 * bound  # the distance itself is far from roundoff
+        if past_end is not None:
+            assert np.all(folded[past_end] == 0)
 
 
 class TestConvergenceReport:
