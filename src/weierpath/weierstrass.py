@@ -220,8 +220,8 @@ class TruncationPolicy:
 
     @staticmethod
     def tolerance(tol: float, eps_prime: float) -> "TruncationPolicy":
-        if not (tol > 0):
-            raise ParameterError(f"tolerance must be positive, got {tol}")
+        if not (0 < tol < math.inf):
+            raise ParameterError(f"tolerance must be positive and finite, got {tol}")
         if not (eps_prime > 0):
             raise ParameterError(f"eps_prime must be positive, got {eps_prime}")
         return TruncationPolicy(tol=float(tol), eps_prime=float(eps_prime))

@@ -101,6 +101,18 @@ class TestExitCodes:
         assert flag in err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("argv", [
+        ["lift", "--figure-params"],
+        ["norms", "--figure-params", "--alpha", "0.46", "--depth", "6"],
+        ["rde", "--figure-params", "--rough", "--step", "1/1024", "--points", "33"],
+    ], ids=["lift", "norms", "rde"])
+    def test_infinite_tolerance_is_one(self, argv, tmp_path, capsys):
+        # an infinite tolerance would resolve level 0 and print "tol": Infinity
+        code, _, err = run(argv + ["--tol", "inf", "--out", str(tmp_path / "out")], capsys)
+        assert code == 1
+        assert "tolerance must be positive and finite, got inf" in err
+        assert not list(tmp_path.iterdir())
+
     def test_bad_demo_amplitude_is_one(self, capsys):
         # validate_component parses the amplitude, so the message names it
         for argv, value in ((["demo", "--a", "x", "--Ns", "1,2"], "x"),

@@ -99,6 +99,11 @@ class TestTruncationPolicy:
         with pytest.raises(ParameterError):
             TruncationPolicy.tolerance(-1.0, 0.1)
 
+    @pytest.mark.parametrize("tol", [0.0, float("inf"), float("nan")])
+    def test_tolerance_must_be_positive_and_finite(self, tol):
+        with pytest.raises(ParameterError, match=f"tolerance must be positive and finite, got {tol}"):
+            TruncationPolicy.tolerance(tol, 0.1)
+
 
 class TestEvalTruncated:
     def test_single_term_at_zero(self, comp_b2):
