@@ -304,8 +304,8 @@ def _pair_blocks(den: int, depth: int):
     marks them there; their dt is 1/den, and consumers zero them
     (_zero_dropped).  Beyond FULL_SWEEP_DEPTH, band chunks (_band_block) add
     every fine pair (s, s + k) with k <= K = 8 strides: each covers all K
-    separations for a range of start points, of _ROW_CHUNK x subgrid points
-    / K rows, so no block holds more than _ROW_CHUNK x subgrid points pairs.
+    separations for _ROW_CHUNK x (subgrid points - 1) / K start points, so
+    no chunk holds more pairs than the largest coarse block.
     Estimates remain lower bounds of the true sup.
     """
     stride = 1 << max(depth - FULL_SWEEP_DEPTH, 0)
@@ -320,7 +320,7 @@ def _pair_blocks(den: int, depth: int):
         yield rows, cols, sep / den, drop
     if stride > 1:
         K = 8 * stride
-        h = _ROW_CHUNK * grid.size // K
+        h = _ROW_CHUNK * (grid.size - 1) // K
         for lo in range(0, den, h):
             yield _band_block(den, K, lo, min(lo + h, den))
 

@@ -489,7 +489,8 @@ class TestPairBlocks:
         sub = idx[::stride]
         covered = []
         for rows, cols, dt, drop in _pair_blocks(den, depth):
-            assert dt.size <= _ROW_CHUNK * sub.size  # the bound that keeps peak RSS level
+            # no block above the largest coarse one: the bound that keeps peak RSS level
+            assert dt.size <= _ROW_CHUNK * (sub.size - 1)
             s, t = np.broadcast_arrays(idx[rows], idx[cols])
             assert s.shape == dt.shape
             weighted = _zero_dropped(dt**-0.5, drop) != 0
