@@ -403,9 +403,13 @@ def _area_sups(v: VectorWeierstrass, tables, levels: Sequence[int], blocks,
     rank = 3 if ref is None else 4
     out = np.zeros((len(levels), v.d, v.d))
     exponents = () if expo is None else set(expo.flat)
+    buf = np.empty(0)  # one scratch for every block's product and factors
     for rows, cols, dt, drop in blocks:
-        a = np.empty(dt.shape)
-        tmp = np.empty((rank, dt.shape[0] + 2 * dt.shape[1]))
+        width = dt.shape[0] + 2 * dt.shape[1]
+        if buf.size < dt.size + rank * width:
+            buf = np.empty(dt.size + rank * width)
+        a = buf[: dt.size].reshape(dt.shape)
+        tmp = buf[dt.size : dt.size + rank * width].reshape(rank, width)
         weights = {e: _zero_dropped(dt**-e, drop) for e in exponents}
         for k, i, j, q, wi, wj in calls:
             _second_level_rows(q, wi, wj, rows, cols, a, tmp)
