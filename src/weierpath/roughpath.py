@@ -276,15 +276,14 @@ def _grid_spec(depth: int, what: str) -> str:
 _ROW_CHUNK = 64
 
 
-def _band_block(den: int, K: int, lo: int = 0, hi: Optional[int] = None):
-    """The pairs (s, s + k), lo <= s < hi (default den) and 1 <= k <= K, as one band chunk.
+def _band_block(den: int, K: int, lo: int, hi: int):
+    """The pairs (s, s + k), lo <= s < hi and 1 <= k <= K, as one band chunk.
 
     rows is the slice [lo, hi); cols, dt and drop are (K, hi - lo) views,
     row k - 1 holding separation k, so the chunk costs O(hi - lo + K)
     memory.  cols holds t clipped to den; ``drop`` marks the pairs with
     t > den (None when there are none).
     """
-    hi = den if hi is None else hi
     t = np.arange(lo, hi + K, dtype=np.int64)
     past = t > den
     dt = np.broadcast_to(np.arange(1, K + 1, dtype=np.int64)[:, None] / den, (K, hi - lo))
@@ -488,7 +487,8 @@ def rough_norm(v: VectorWeierstrass, truncation, alpha: float, depth: int,
             raise ParameterError("flag_growth needs depth >= 6")
         # the adjacent-pair area ratio sup max|A| / (1/den)^(2 alpha) at both depths
         coarse, fine = (
-            float(_area_sups(v, t, [N], [_band_block(n, 1)]).max()) / (1.0 / n) ** (2 * alpha)
+            float(_area_sups(v, t, [N], [_band_block(n, 1, 0, n)]).max())
+            / (1.0 / n) ** (2 * alpha)
             for t, n in ((_level_tables(v, [N], depth - 4), den >> 4), (tables, den))
         )
         flagged = bool(fine > 1.05 * coarse)

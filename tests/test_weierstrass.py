@@ -101,7 +101,7 @@ class TestTruncationPolicy:
 
     @pytest.mark.parametrize("tol", [0.0, float("inf"), float("nan")])
     def test_tolerance_must_be_positive_and_finite(self, tol):
-        with pytest.raises(ParameterError, match=f"tolerance must be positive and finite, got {tol}"):
+        with pytest.raises(ParameterError, match=f"must be positive and finite, got {tol}"):
             TruncationPolicy.tolerance(tol, 0.1)
 
 
