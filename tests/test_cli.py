@@ -107,7 +107,7 @@ class TestExitCodes:
         ["rde", "--figure-params", "--rough", "--step", "1/1024", "--points", "33"],
     ], ids=["lift", "norms", "rde"])
     def test_infinite_tolerance_is_one(self, argv, tmp_path, capsys):
-        # an infinite tolerance would resolve level 0 and print "tol": Infinity
+        # an infinite tolerance bounds nothing, and "tol": Infinity is not valid JSON
         code, _, err = run(argv + ["--tol", "inf", "--out", str(tmp_path / "out")], capsys)
         assert code == 1
         assert "tolerance must be positive and finite, got inf" in err

@@ -507,7 +507,6 @@ class TestPairBlocks:
         assert np.array_equal(_distinct(covered), _distinct(named))
 
 
-
 def _distinct(codes):
     """The sorted distinct values of a list of arrays (a sort, where np.unique is far slower)."""
     codes = np.sort(np.concatenate(codes))

@@ -96,13 +96,9 @@ class TestTruncationPolicy:
         pol.check_eps_prime(0.46)
         with pytest.raises(ParameterError, match="eps_prime"):
             pol.check_eps_prime(0.05)
-        with pytest.raises(ParameterError):
-            TruncationPolicy.tolerance(-1.0, 0.1)
-
-    @pytest.mark.parametrize("tol", [0.0, float("inf"), float("nan")])
-    def test_tolerance_must_be_positive_and_finite(self, tol):
-        with pytest.raises(ParameterError, match=f"must be positive and finite, got {tol}"):
-            TruncationPolicy.tolerance(tol, 0.1)
+        for tol in (-1.0, 0.0, float("inf"), float("nan")):
+            with pytest.raises(ParameterError, match=f"must be positive and finite, got {tol}"):
+                TruncationPolicy.tolerance(tol, 0.1)
 
 
 class TestEvalTruncated:
