@@ -15,17 +15,17 @@ and measures the geometric rate at which truncated lifts converge.
 Grid sweeps exploit that the canonical lift of a smooth truncation
 satisfies the Chen relation exactly: A_N(s, t) is recovered from the
 prefix values A_N(0, .) and the first level, so a pair costs O(1) instead
-of O(modes^2).  Every grid diagnostic runs one second-level sweep,
-_area_sups, over the pair set its grid spec names (every pair s < t up to
+of O(modes^2).  Every grid diagnostic runs one pair sweep, _area_sups,
+over the pair set its grid spec names (every pair s < t up to
 FULL_SWEEP_DEPTH; beyond it the pairs of a stride subgrid and every
-separation up to 8 strides).  Per block, entry and level the sweep is one
-rank-(r + 2) product of small factors gathered from grid tables
-(_second_level_rows): a matrix product on a coarse block of the
-(sub)grid, and one einsum against a sliding window of the t-factors on a
-band chunk, which holds every short separation of a range of start
-points.  r = 1 for A_N, r = 2 for its distance to a reference level.  All
-results are sups over finite grids and therefore lower bounds of the true
-seminorms.
+separation up to 8 strides), for both lift levels at once.  Per block and
+term the sweep is one rank-(r + 2) product of small factors gathered from
+grid tables (_second_level_rows): a matrix product on a coarse block of
+the (sub)grid, and one einsum against a sliding window of the t-factors
+on a band chunk, which holds every short separation of a range of start
+points.  r = 0 for a first-level increment, r = 1 for A_N, r = 2 for its
+distance to a reference level.  All results are sups over finite grids
+and therefore lower bounds of the true seminorms.
 
 Pure functions on immutable inputs throughout; reductions are max/sup, so
 evaluation order cannot change any result.
@@ -74,10 +74,12 @@ __all__ = [
     "polyline_signed_area",
     "MAX_GRID_DEPTH",
     "FULL_SWEEP_DEPTH",
+    "RATE_MARGIN",
 ]
 
 MAX_GRID_DEPTH = 14
 FULL_SWEEP_DEPTH = 11  # beyond this, pair sweeps keep a subgrid and short separations
+RATE_MARGIN = 1.25  # a fitted rate passes up to this factor above the theoretical one
 
 
 @dataclass(frozen=True)
@@ -375,33 +377,21 @@ def _second_level_rows(q, wi, wj, rows, cols, out, tmp):
         np.matmul(left.T, right, out=out)
 
 
-def _area_sups(v: VectorWeierstrass, tables, levels: Sequence[int], blocks,
-               expo: Optional[np.ndarray] = None, ref: Optional[int] = None) -> np.ndarray:
-    """(len(levels), d, d) sups of |A_N(s, t) - A_ref(s, t)| over the pairs of ``blocks``.
+def _area_sups(terms, blocks) -> np.ndarray:
+    """Per term (q, wi, wj, e), the sup of |A(s, t)| |t - s|^-e over the pairs of ``blocks``.
 
-    The one second-level sweep of the grid diagnostics, on ``tables`` from
-    _level_tables and the blocks of _pair_blocks (coarse blocks and band
-    chunks): one _second_level_rows product per block, entry and level.
-    Without ``ref`` the distance is |A_N| (rank 3).  With ``ref`` the
-    difference is folded into one rank-4 product whose terms stay small:
-    A_ref - A_N = dQ(t) - dQ(s) - u(s) (dY(t) - dY(s)) - du(s)
-    (W_N,j(t) - W_N,j(s)), with dQ = Q_ref - Q_N, dY = W_ref,j - W_N,j,
-    u = W_ref,i - W_ref,i(0) and du its difference with the level's.
-    With ``expo`` entry (i, j) is weighted by |t - s|^-expo[i, j], each
-    block's weights built once per distinct exponent; without it the
-    dropped pairs are zeroed.  The sup of a block is max(max, -min).
+    The one loop over the blocks of _pair_blocks (coarse blocks and band
+    chunks) in the package.  A(s, t) = q(t) - q(s) - sum_k x_k(s) (y_k(t) -
+    y_k(s)) is one _second_level_rows product per block and term, with
+    r = len(wi) grid tables on each side: r = 0 gives the first-level
+    increment q(t) - q(s), r = 1 an entry A_ij (_entry_terms), r = 2 a
+    distance to a reference level (convergence_report).  With e None the
+    dropped pairs are zeroed instead; each block's weights are built once
+    per distinct exponent.  The sup of a block is max(max, -min).
     """
-    _, W, Q = tables
-    if ref is None:
-        terms = [(Q[N], (W[N],), (W[N],)) for N in levels]
-    else:
-        dW = {N: W[ref] - W[N] for N in levels}
-        terms = [(Q[ref] - Q[N], (W[ref], dW[N]), (dW[N], W[N])) for N in levels]
-    calls = [(k, i, j, q[:, i, j], [w[i] for w in wi], [w[j] for w in wj])
-             for i, j in product(range(v.d), repeat=2) for k, (q, wi, wj) in enumerate(terms)]
-    rank = 3 if ref is None else 4
-    out = np.zeros((len(levels), v.d, v.d))
-    exponents = () if expo is None else set(expo.flat)
+    out = np.zeros(len(terms))
+    rank = 2 + max(len(wi) for _, wi, _, _ in terms)
+    exponents = {e for *_, e in terms if e is not None}
     buf = np.empty(0)  # one scratch for every block's product and factors
     for rows, cols, dt, drop in blocks:
         width = dt.shape[0] + 2 * dt.shape[1]
@@ -410,14 +400,24 @@ def _area_sups(v: VectorWeierstrass, tables, levels: Sequence[int], blocks,
         a = buf[: dt.size].reshape(dt.shape)
         tmp = buf[dt.size : dt.size + rank * width].reshape(rank, width)
         weights = {e: _zero_dropped(dt**-e, drop) for e in exponents}
-        for k, i, j, q, wi, wj in calls:
-            _second_level_rows(q, wi, wj, rows, cols, a, tmp)
-            if expo is None:
+        for k, (q, wi, wj, e) in enumerate(terms):
+            _second_level_rows(q, wi, wj, rows, cols, a, tmp[: 2 + len(wi)])
+            if e is None:
                 _zero_dropped(a, drop)
             else:
-                a *= weights[expo[i, j]]
-            out[k, i, j] = max(out[k, i, j], float(a.max()), -float(a.min()))
+                a *= weights[e]
+            out[k] = max(out[k], float(a.max()), -float(a.min()))
     return out
+
+
+def _entry_terms(tables, N: int, d: int, expo: Optional[np.ndarray]) -> list:
+    """_area_sups terms of the entries A_ij, row-major, of level N in _level_tables ``tables``.
+
+    Entry (i, j) is (A_ij(0, .), (W_i,), (W_j,)), weighted by |t - s|^-expo[i, j] unless None.
+    """
+    _, W, Q = tables
+    return [(Q[N][:, i, j], (W[N][i],), (W[N][j],), None if expo is None else expo[i, j])
+            for i, j in product(range(d), repeat=2)]
 
 
 def _resolve_level(v: VectorWeierstrass, truncation) -> int:
@@ -450,11 +450,12 @@ def rough_norm(v: VectorWeierstrass, truncation, alpha: float, depth: int,
 
     ``truncation`` is an int (a fixed level N) or a TruncationPolicy;
     alpha must lie in (1/3, min_i alpha_i] unless ``enforce_alpha_range`` is
-    lifted for negative controls.  One pass of _area_sups over the pairs
-    gives the area part and, block by block, the Hoelder part.  With
-    ``flag_growth`` the adjacent-pair area ratio at depth is flagged when it
-    exceeds 1.05 times the one at depth - 4 (the signature of an exponent
-    outside the valid range).
+    lifted for negative controls.  One _area_sups pass gives both parts: the
+    entries A_ij weighted by |t - s|^-2alpha and d more terms, the first-level
+    increments (r = 0), by |t - s|^-alpha.  With ``flag_growth`` the
+    adjacent-pair area ratio at depth is flagged when it exceeds 1.05 times
+    the one at depth - 4, read from every 16th grid point (the signature of
+    an exponent outside the valid range).
     """
     depth = _validate_depth(depth)
     alpha = float(alpha)
@@ -465,31 +466,22 @@ def rough_norm(v: VectorWeierstrass, truncation, alpha: float, depth: int,
         )
     if not (alpha > 0):
         raise ParameterError("alpha must be positive")
+    if flag_growth and depth < 6:
+        raise ParameterError("flag_growth needs depth >= 6")
     N = _resolve_level(v, truncation)
-    den = 1 << depth
-    tables = _level_tables(v, [N], depth)
-    W = tables[1][N]
-    holder = 0.0
-
-    def blocks():
-        # one pass (a second costs more); a block's Hoelder part is taken once the
-        # sweep asks for the next block or ends: fewer page faults than taking it first
-        nonlocal holder
-        for rows, cols, dt, drop in _pair_blocks(den, depth):
-            yield rows, cols, dt, drop
-            w = _zero_dropped(dt**-alpha, drop)
-            holder = max(holder, *(float(np.max(np.abs(x[cols] - x[rows]) * w)) for x in W))
-
-    area = float(_area_sups(v, tables, [N], blocks(), np.full((v.d, v.d), 2 * alpha)).max())
+    d, den = v.d, 1 << depth
+    idx, W, Q = tables = _level_tables(v, [N], depth)
+    sups = _area_sups(_entry_terms(tables, N, d, np.full((d, d), 2 * alpha))
+                      + [(x, (), (), alpha) for x in W[N]], _pair_blocks(den, depth))
+    area, holder = float(sups[: d * d].max()), float(sups[d * d :].max())
     flagged = None
     if flag_growth:
-        if depth < 6:
-            raise ParameterError("flag_growth needs depth >= 6")
-        # the adjacent-pair area ratio sup max|A| / (1/den)^(2 alpha) at both depths
-        coarse, fine = (
-            float(_area_sups(v, t, [N], [_band_block(n, 1, 0, n)]).max())
+        # the adjacent-pair area ratio sup max|A| / (1/n)^(2 alpha) at depth and depth - 4
+        sub = (idx[::16], {N: W[N][:, ::16]}, {N: Q[N][::16]})
+        fine, coarse = (
+            float(_area_sups(_entry_terms(t, N, d, None), [_band_block(n, 1, 0, n)]).max())
             / (1.0 / n) ** (2 * alpha)
-            for t, n in ((_level_tables(v, [N], depth - 4), den >> 4), (tables, den))
+            for t, n in ((tables, den), (sub, den >> 4))
         )
         flagged = bool(fine > 1.05 * coarse)
     return RoughNormEstimate(
@@ -517,9 +509,10 @@ def area_holder_sup(v: VectorWeierstrass, levels: Sequence[int], eps: float, dep
     alphas = np.array(v.alphas)
     expo = (alphas[:, None] + alphas - 2 * eps if exponent is None
             else np.full((v.d, v.d), float(exponent)))
-    sups = _area_sups(v, _level_tables(v, levels, depth), levels, _pair_blocks(1 << depth, depth),
-                      expo)
-    return {N: float(sup.max()) for N, sup in zip(levels, sups)}
+    tables = _level_tables(v, levels, depth)
+    sups = _area_sups([t for N in levels for t in _entry_terms(tables, N, v.d, expo)],
+                      _pair_blocks(1 << depth, depth))
+    return {N: float(sup.max()) for N, sup in zip(levels, sups.reshape(len(levels), -1))}
 
 
 # ---------------------------------------------------------------------------
@@ -596,17 +589,18 @@ def _fit_ratio(Ns, values) -> Optional[float]:
 def convergence_report(v: VectorWeierstrass, Ns: Sequence[int], *,
                        alpha: Optional[float] = None, eps: float = 0.02,
                        beta: Optional[float] = None, eps_prime: float = 0.1,
-                       depth: int = 8, margin: float = 1.25,
-                       reference_offset: int = 10,
+                       depth: int = 8, reference_offset: int = 10,
                        strict: bool = False) -> ConvergenceReport:
     """Measure sup-grid distances between lifts at each N and a deep reference.
 
     The reference is the truncation at max(Ns) + reference_offset (the true
-    limit is unobservable; the geometric tail justifies the proxy).  Fits a
-    log-linear rate per level and compares the worst fitted ratio against
-    (max_i b_i^(-alpha_i + eps'))^kappa with kappa = 1 - (alpha - eps)/beta.
-    Distances that fail to decrease monotonically flag the report and skip
-    the fit.  With ``strict`` a rate-bound violation raises ParameterError.
+    limit is unobservable; the geometric tail justifies the proxy); the
+    distances |A_ref - A_N| are one _area_sups sweep.  Fits a log-linear
+    rate per level; rate_ok says whether the worst fitted ratio is at most
+    RATE_MARGIN times rho = (max_i b_i^(-alpha_i + eps'))^kappa, kappa =
+    1 - (alpha - eps)/beta.  Distances that fail to decrease monotonically
+    flag the report and skip the fit.  With ``strict`` a rate-bound
+    violation raises ParameterError.
     """
     depth = _validate_depth(depth)
     Ns = _validate_levels(Ns)
@@ -629,9 +623,7 @@ def convergence_report(v: VectorWeierstrass, Ns: Sequence[int], *,
         raise ParameterError(f"eps_prime must lie in (0, alpha) = (0, {alpha:.6f})")
 
     ref = Ns[-1] + reference_offset
-    levels = Ns + [ref]
-    tables = _level_tables(v, levels, depth)
-    W = tables[1]
+    _, W, Q = _level_tables(v, Ns + [ref], depth)
 
     sup_first = []
     for N in Ns:
@@ -642,7 +634,16 @@ def convergence_report(v: VectorWeierstrass, Ns: Sequence[int], *,
         sup_first.append(worst)
 
     d = v.d
-    entries = _area_sups(v, tables, Ns, _pair_blocks(1 << depth, depth), ref=ref)
+    # A_ref - A_N as one rank-4 product whose terms stay small: A_ref - A_N =
+    # dQ(t) - dQ(s) - u(s) (dY(t) - dY(s)) - du(s) (W_N,j(t) - W_N,j(s)), with
+    # dQ = Q_ref - Q_N, dY = W_ref,j - W_N,j, u = W_ref,i - W_ref,i(0) and du its
+    # difference with the level's
+    dQ = {N: Q[ref] - Q[N] for N in Ns}
+    dW = {N: W[ref] - W[N] for N in Ns}
+    terms = [(dQ[N][:, i, j], (W[ref][i], dW[N][i]), (dW[N][j], W[N][j]), None)
+             for i, j in product(range(d), repeat=2) for N in Ns]
+    entries = _area_sups(terms, _pair_blocks(1 << depth, depth))
+    entries = entries.reshape(d, d, -1).transpose(2, 0, 1)
 
     if d >= 2:
         mask = ~np.eye(d, dtype=bool)
@@ -667,7 +668,7 @@ def convergence_report(v: VectorWeierstrass, Ns: Sequence[int], *,
         fitted = None
         if fit_first is not None and fit_second is not None:
             fitted = max(fit_first, fit_second)
-        rate_ok = None if fitted is None else bool(fitted <= rho * margin)
+        rate_ok = None if fitted is None else bool(fitted <= rho * RATE_MARGIN)
     else:
         fit_first = fit_second = fitted = None
         fit_entries = None
@@ -695,6 +696,6 @@ def convergence_report(v: VectorWeierstrass, Ns: Sequence[int], *,
     )
     if strict and rate_ok is False:
         raise ParameterError(
-            f"fitted ratio {fitted:.4f} exceeds theoretical rho*margin = {rho * margin:.4f}"
+            f"fitted ratio {fitted:.4f} exceeds theoretical rho*margin = {rho * RATE_MARGIN:.4f}"
         )
     return report

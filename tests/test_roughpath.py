@@ -35,6 +35,8 @@ from weierpath.rde import _lift_table
 from weierpath.roughpath import (
     FULL_SWEEP_DEPTH,
     _ROW_CHUNK,
+    _area_sups,
+    _entry_terms,
     _level_tables,
     _pair_blocks,
     _resolve_level,
@@ -358,7 +360,8 @@ class TestRoughNorm:
         assert bad.growth_flagged is True
         assert good.growth_flagged is False
 
-    @pytest.mark.parametrize("flag_growth,depths", [(False, [8]), (True, [8, 4])])
+    # the growth flag reads depth - 4 from every 16th point of the same tables
+    @pytest.mark.parametrize("flag_growth,depths", [(False, [8]), (True, [8])])
     def test_depth_tables_built_once(self, figure_pair, monkeypatch, flag_growth, depths):
         built = []
 
@@ -476,6 +479,25 @@ class TestAreaHolderSup:
         with pytest.raises(ParameterError, match="level"):
             area_holder_sup(v, levels, 0.02, 4)
 
+    def test_band_chunks_set_the_sup(self, figure_pair):
+        # at exponent 1.5 the sup lies at a short separation, which only the band
+        # chunks sweep: it is the brute-force max over every k <= 32 = 8 strides
+        N, depth, K = 8, 13, 32
+        den = 1 << depth
+        got = area_holder_sup(figure_pair, [N], 0.02, depth, exponent=1.5)[N]
+        tables = _level_tables(figure_pair, [N], depth)
+        W, Q = tables[1][N].T, tables[2][N]
+        want = 0.0
+        for k in range(1, K + 1):
+            s = np.arange(den + 1 - k)
+            # Chen: A(s, t) = A(0, t) - A(0, s) - X(0, s) x X(s, t)
+            a = Q[s + k] - Q[s] - (W[s] - W[0])[:, :, None] * (W[s + k] - W[s])[:, None, :]
+            want = max(want, float(np.abs(a).max()) * (k / den) ** -1.5)
+        assert got == pytest.approx(want, rel=1e-12)
+        coarse = [b for b in _pair_blocks(den, depth) if not isinstance(b[0], slice)]
+        terms = _entry_terms(tables, N, figure_pair.d, np.full((2, 2), 1.5))
+        assert got >= 1.3 * _area_sups(terms, coarse).max()
+
 
 class TestPairBlocks:
     @pytest.mark.parametrize("depth", [6, FULL_SWEEP_DEPTH, FULL_SWEEP_DEPTH + 1,
@@ -548,7 +570,7 @@ class TestSecondLevelRows:
         # a bound on every term of either form: |q|, |p| <= |q| + sum |x_k| |y_k|
         return np.abs(q).max() + sum(2 * np.abs(x).max() * np.abs(y).max() for x, y in zip(wi, wj))
 
-    @pytest.mark.parametrize("r", [1, 2])
+    @pytest.mark.parametrize("r", [0, 1, 2])
     @pytest.mark.parametrize("block", ["rectangle", "band", "stride_subgrid"])
     def test_matches_direct_formula(self, r, block):
         q, wi, wj = self.tables(r, seed=10 * r + len(block))
