@@ -148,6 +148,21 @@ def _component_flags(p: _Parser, with_alpha: bool = True) -> None:
                    help="use the standard two-component parameter pair")
 
 
+def _truncation_flags(p: _Parser) -> None:
+    p.add_argument("--N", type=int)
+    p.add_argument("--tol", type=float)
+    p.add_argument("--eps-prime", dest="eps_prime", type=float, default=0.1)
+
+
+def _truncation(args, default_N: int):
+    """(truncation, metadata): a TruncationPolicy if --tol is given, else --N or ``default_N``."""
+    if args.tol is not None:
+        return (TruncationPolicy.tolerance(args.tol, args.eps_prime),
+                {"tol": args.tol, "epsPrime": args.eps_prime})
+    N = args.N if args.N is not None else default_N
+    return N, {"N": N}
+
+
 def _meta_components(v: VectorWeierstrass) -> dict:
     return {
         f"component{i}": json.dumps(c.to_config(), sort_keys=True)
@@ -186,14 +201,9 @@ def _cmd_lift(args) -> int:
     v = _components_from_args(args)
     s = unit_time(to_fraction(args.s))
     t = unit_time(to_fraction(args.t))
-    if args.tol is not None:
-        policy = TruncationPolicy.tolerance(args.tol, args.eps_prime)
-        inc = lift_limit(v, policy, s, t)
-        mode = {"tol": args.tol, "epsPrime": args.eps_prime}
-    else:
-        N = args.N if args.N is not None else 20
-        inc = lift_truncated(v, N, s, t)
-        mode = {"N": N}
+    truncation, mode = _truncation(args, 20)
+    lift = lift_truncated if isinstance(truncation, int) else lift_limit
+    inc = lift(v, truncation, s, t)
     _write_json(args.out, {
         "s": _fmt(s),
         "t": _fmt(t),
@@ -236,8 +246,7 @@ def _cmd_norms(args) -> int:
         return 0
     if args.norm_alpha is None:
         raise ParameterError("--alpha: required for the seminorm estimate")
-    truncation = (TruncationPolicy.tolerance(args.tol, args.eps_prime) if args.tol is not None
-                  else args.N if args.N is not None else 20)
+    truncation, _ = _truncation(args, 20)
     est = rough_norm(v, truncation, args.norm_alpha, args.depth)
     _write_json(args.out, {
         **est.to_json_dict(),
@@ -286,13 +295,8 @@ def _cmd_rde(args) -> int:
             )
         return 0
     if args.rough:
-        truncation: object
-        if args.tol is not None:
-            truncation = TruncationPolicy.tolerance(args.tol, args.eps_prime)
-            mode = {"mode": "rough-limit", "tol": args.tol, "epsPrime": args.eps_prime}
-        else:
-            truncation = args.N if args.N is not None else 8
-            mode = {"mode": "rough-truncated", "N": truncation}
+        truncation, mode = _truncation(args, 8)
+        mode = {"mode": "rough-limit" if args.tol is not None else "rough-truncated", **mode}
         path = solve_rough(problem, truncation, step=step, output_points=args.points)
     else:
         N = args.N if args.N is not None else 8
@@ -351,9 +355,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("lift", help="one rough increment as JSON")
     _component_flags(p)
-    p.add_argument("--N", type=int)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--eps-prime", dest="eps_prime", type=float, default=0.1)
+    _truncation_flags(p)
     p.add_argument("--s", default="0")
     p.add_argument("--t", default="1")
     p.set_defaults(fn=_cmd_lift)
@@ -362,10 +364,8 @@ def build_parser() -> _Parser:
     _component_flags(p, with_alpha=False)
     p.add_argument("--alpha", dest="norm_alpha", type=float,
                    help="seminorm exponent (must lie in (1/3, min component alpha])")
-    p.add_argument("--N", type=int)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--eps-prime", dest="eps_prime", type=float, default=0.1)
-    p.add_argument("--depth", type=int, default=10)
+    _truncation_flags(p)
+    p.add_argument("--depth", type=_at_least(1), default=10)
     p.add_argument("--estimate-exponent", action="store_true")
     p.add_argument("--witness", action="store_true")
     p.set_defaults(fn=_cmd_norms)
@@ -377,18 +377,16 @@ def build_parser() -> _Parser:
     p.add_argument("--eps", type=float, default=0.02)
     p.add_argument("--beta", type=float)
     p.add_argument("--eps-prime", dest="eps_prime", type=float, default=0.1)
-    p.add_argument("--depth", type=int, default=8)
+    p.add_argument("--depth", type=_at_least(1), default=8)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_converge)
 
     p = sub.add_parser("rde", help="paths of dY = M(Y) dW for the 2x2 bilinear field")
     _component_flags(p)
-    p.add_argument("--N", type=int)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--eps-prime", dest="eps_prime", type=float, default=0.1)
+    _truncation_flags(p)
     p.add_argument("--step")
     p.add_argument("--y0", help="comma-separated start state (default 1,0)")
-    p.add_argument("--points", type=int, default=1025)
+    p.add_argument("--points", type=_at_least(2), default=1025)
     p.add_argument("--rough", action="store_true", help="use the rough stepper")
     p.add_argument("--figure3", action="store_true",
                    help="emit the three-level preset (N = 4, 8, 12)")

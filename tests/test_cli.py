@@ -94,6 +94,9 @@ class TestExitCodes:
         (["rde", "--figure-params", "--y0", "1,x"], "--y0"),
         (BOUNDS + ["--depth", "0"], "--depth"),
         (BOUNDS + ["--samples", "0"], "--samples"),
+        (["rde", "--figure-params", "--points", "1"], "--points"),
+        (["norms", "--figure-params", "--alpha", "0.46", "--depth", "0"], "--depth"),
+        (["converge", "--figure-params", "--depth", "0"], "--depth"),
     ])
     def test_bad_value_is_one_and_names_the_flag(self, argv, flag, tmp_path, capsys):
         code, _, err = run(argv + ["--out", str(tmp_path / "out")], capsys)
