@@ -12,6 +12,7 @@ import numpy as np
 
 from weierpath import VectorWeierstrass, convergence_report, validate_component
 from weierpath.cli import FIGURE_COMPONENTS
+from weierpath.roughpath import RATE_MARGIN
 
 
 def main() -> int:
@@ -35,7 +36,7 @@ def main() -> int:
     single_rates = [c.b ** (-c.alpha + rep.eps_prime) for c in v.components]
     print(f"single-mode rates b_i^(-alpha_i + eps'): {[round(r, 4) for r in single_rates]}")
     print(f"rough-topology rate rho^kappa: {rep.theoretical_rho:.4f} "
-          f"(kappa = {rep.kappa:.4f}); fitted <= rho*1.25: {rep.rate_ok}")
+          f"(kappa = {rep.kappa:.4f}); fitted <= rho*{RATE_MARGIN}: {rep.rate_ok}")
     return 0
 
 

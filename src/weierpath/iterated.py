@@ -549,6 +549,11 @@ class BoundDiagnostics:
 _BOUND_NAMES = ("bound_i", "bound_ii", "bound_iii", "bound_iv")
 
 
+def _smallest_constant(rows, col: int) -> float:
+    """Smallest C with |J| <= C rhs over ``rows``: the max |J| / rhs where rhs = row[col] > 0."""
+    return max((abs(r[2]) / r[col] for r in rows if r[col] > 0), default=0.0)
+
+
 def bound_diagnostics(pair: FrequencyPair, sample: Iterable[tuple], eps: float,
                       phase: Phase = Phase.COSINE) -> BoundDiagnostics:
     """Evaluate |J| against its four right-hand sides over sample intervals.
@@ -571,10 +576,8 @@ def bound_diagnostics(pair: FrequencyPair, sample: Iterable[tuple], eps: float,
         j = elementary_integral(pair, s, t, phase)
         dt = float(t - s)
         rows.append((s, t, j, float(m) * float(k) * dt * dt, float(k) * dt, float(m) * dt, rhs_iv))
-    constants = {}
-    for name_idx, name in enumerate(_BOUND_NAMES):
-        vals = [abs(r[2]) / r[3 + name_idx] for r in rows if r[3 + name_idx] > 0]
-        constants[name] = max(vals) if vals else 0.0
+    constants = {name: _smallest_constant(rows, 3 + name_idx)
+                 for name_idx, name in enumerate(_BOUND_NAMES)}
     # scaling drift: a valid bound's constant saturates at fine scales; one
     # still growing between the two finest width quartiles is flagged
     flagged = []
@@ -583,14 +586,8 @@ def bound_diagnostics(pair: FrequencyPair, sample: Iterable[tuple], eps: float,
         quarter = len(rows) // 4
         finest, second = by_width[:quarter], by_width[quarter : 2 * quarter]
         for name_idx, name in enumerate(_BOUND_NAMES):
-            k_finest = max(
-                (abs(r[2]) / r[3 + name_idx] for r in finest if r[3 + name_idx] > 0),
-                default=0.0,
-            )
-            k_second = max(
-                (abs(r[2]) / r[3 + name_idx] for r in second if r[3 + name_idx] > 0),
-                default=0.0,
-            )
+            k_finest, k_second = (_smallest_constant(part, 3 + name_idx)
+                                  for part in (finest, second))
             if k_second > 0 and k_finest > 1.5 * k_second:
                 flagged.append(name)
     return BoundDiagnostics(pair=pair, eps=eps, rows=tuple(rows),

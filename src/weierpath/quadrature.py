@@ -42,22 +42,21 @@ def _composite_simpson(f: np.ndarray, width: float) -> float:
     return (h / 3.0) * float(f[0] + f[-1] + 4.0 * np.sum(f[1:-1:2]) + 2.0 * np.sum(f[2:-1:2]))
 
 
-def integrate(integrand, a, b, *, tol: float = 1e-12, frequency_hint: float = 1.0,
-              max_nodes: int = _MAX_NODES) -> QuadratureResult:
+def integrate(integrand, a, b, *, tol: float = 1e-12,
+              frequency_hint: float = 1.0) -> QuadratureResult:
     """Integrate on [a, b] (exact rational endpoints) to absolute tolerance tol.
 
     ``integrand`` provides ``on_nodes(AffineNodes) -> ndarray``.
     ``frequency_hint`` is the highest angular frequency divided by pi (so an
     integrand built from cos(w*pi*r) passes w); the initial grid resolves
-    that oscillation and bisection proceeds from there.
+    that oscillation and bisection proceeds from there, up to _MAX_NODES nodes.
     """
     a = to_fraction(a)
     b = to_fraction(b)
     if a == b:
         return QuadratureResult(0.0, 0.0, 0)
     if a > b:
-        res = integrate(integrand, b, a, tol=tol, frequency_hint=frequency_hint,
-                        max_nodes=max_nodes)
+        res = integrate(integrand, b, a, tol=tol, frequency_hint=frequency_hint)
         return QuadratureResult(-res.value, res.error_estimate, res.evaluations)
     if not (tol > 0):
         raise ParameterError(f"tolerance must be positive, got {tol}")
@@ -66,10 +65,10 @@ def integrate(integrand, a, b, *, tol: float = 1e-12, frequency_hint: float = 1.
     cycles = 0.5 * frequency_hint * width
     need = max(8.0, (_NODES_PER_OSCILLATION / 2.0) * cycles)
     panels = 1 << max(3, math.ceil(math.log2(need)))
-    if 2 * panels + 1 > max_nodes:
+    if 2 * panels + 1 > _MAX_NODES:
         raise ParameterError(
             f"quadrature cannot resolve {cycles:.3g} oscillations on this interval "
-            f"(needs more than {max_nodes} nodes)"
+            f"(needs more than {_MAX_NODES} nodes)"
         )
 
     evaluations = 0
@@ -100,8 +99,8 @@ def integrate(integrand, a, b, *, tol: float = 1e-12, frequency_hint: float = 1.
                 return QuadratureResult(current + err, last_gap, evaluations)
         prev = current
         panels *= 2
-        if 2 * panels + 1 > max_nodes:
+        if 2 * panels + 1 > _MAX_NODES:
             raise ParameterError(
-                f"quadrature did not reach tol={effective_tol:g} within {max_nodes} nodes "
+                f"quadrature did not reach tol={effective_tol:g} within {_MAX_NODES} nodes "
                 f"(last Richardson gap {last_gap:.3g})"
             )
