@@ -495,7 +495,7 @@ class TestAreaHolderSup:
             want = max(want, float(np.abs(a).max()) * (k / den) ** -1.5)
         assert got == pytest.approx(want, rel=1e-12)
         coarse = [b for b in _pair_blocks(den, depth) if not isinstance(b[0], slice)]
-        terms = _entry_terms(tables, N, figure_pair.d, np.full((2, 2), 1.5))
+        terms = _entry_terms(tables, N, 2, np.full((2, 2), 1.5))
         assert got >= 1.3 * _area_sups(terms, coarse).max()
 
 
