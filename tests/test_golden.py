@@ -37,7 +37,14 @@ GOLDEN = (
     ("lift_N8.json", ["lift", "--figure-params", "--N", "8", "--s", "3/40", "--t", "31/40"]),
     ("lift_N20_big_den.json", ["lift", "--figure-params", "--N", "20",
                                "--s", "123457/1048573", "--t", "900001/1048573"]),
+    # lcm denominator 2,097,143 > 2^20: the scalar feature branch, truncated and limit
+    ("lift_N20_scalar.json", ["lift", "--figure-params", "--N", "20",
+                              "--s", "123457/2097143", "--t", "900001/2097143"]),
     ("lift_tol.json", ["lift", "--figure-params", "--tol", "1e-7", "--eps-prime", "0.1"]),
+    ("lift_tol_scalar.json", ["lift", "--figure-params", "--tol", "1e-7", "--eps-prime", "0.1",
+                              "--s", "123457/2097143", "--t", "900001/2097143"]),
+    ("lift_sin_N8.json", ["lift", "--figure-params", "--phase", "sin", "--N", "8",
+                          "--s", "3/40", "--t", "31/40"]),
     ("norms.json", ["norms", "--figure-params", "--alpha", "0.46", "--N", "8", "--depth", "6"]),
     ("converge.csv", ["converge", "--figure-params", "--Ns", "4,6,8", "--depth", "6"]),
     # depth 12 > FULL_SWEEP_DEPTH: the subsampled sweep (stride pairs plus the
