@@ -10,6 +10,11 @@ Subcommands wrap the library modules one to one:
   demo      equal-base mixed-integral table
   bounds    elementary-integral bound diagnostics
 
+COMMANDS gives each mode of each subcommand the flags it reads, with their
+defaults; the first mode whose REQUIRED flags are all given runs.  A given
+flag that mode does not read (a second component source, say) or a second
+value of a one-value flag exits 1 naming the flag.
+
 Every CSV carries a header row and trailing '#' metadata comments recording
 the full parameter set and the library version; output is byte-identical
 across runs for identical flags.  Exit codes: 0 success, 1 parameter or
@@ -62,15 +67,60 @@ def _at_least(low: int):
     return parse
 
 
-def _list_flag(flag: str, text, kind, default: list) -> list:
-    """The comma-separated ``kind`` values of a list flag, or ``default`` when it is absent."""
-    if not text:
-        return default
+def _named(parse):
+    """argparse type from a library parser, so that argparse names the flag before its message."""
+    def typed(text):
+        try:
+            return parse(text)
+        except ParameterError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return typed
+
+
+def _list_flag(flag: str, text: str, kind) -> list:
+    """The comma-separated ``kind`` values of a list flag."""
     try:
         return [kind(x) for x in text.split(",")]
     except ValueError:
         raise ParameterError(f"{flag}: expected comma-separated {kind.__name__} values, "
                              f"got {text!r}") from None
+
+
+# Every flag once: dest -> (option, argparse type, or None for a switch, help).
+FLAGS = {
+    "figure_params": ("--figure-params", None, "use the standard two-component parameter pair"),
+    "config": ("--config", str, "JSON config file with a components list"),
+    "b": ("--b", int, "component base"),
+    "a": ("--a", str, "amplitude ratio, e.g. 18/25"),
+    "component_alpha": ("--alpha", float, "Hoelder exponent per component (instead of --a)"),
+    "phase": ("--phase", Phase, "cos or sin"),
+    "figure1": ("--figure1", None, "emit the two-panel preset for the standard parameter pair"),
+    "figure3": ("--figure3", None, "emit the three-level preset (N = 4, 8, 12)"),
+    "witness": ("--witness", None, "non-convergence witness per component"),
+    "estimate_exponent": ("--estimate-exponent", None, "fit the Hoelder exponent"),
+    "rough": ("--rough", None, "use the rough stepper"),
+    "N": ("--N", int, "truncation level"),
+    "tol": ("--tol", float, "tolerance; the tails set the level"),
+    "eps_prime": ("--eps-prime", float, "tail slack of the tolerance"),
+    "norm_alpha": ("--alpha", float, "seminorm exponent, in (1/3, min component alpha]"),
+    "Ns": ("--Ns", str, "comma-separated truncation levels"),
+    "grid_step": ("--grid-step", _named(to_fraction), "rational grid step, e.g. 1/1024"),
+    "step": ("--step", _named(to_fraction), "rational solver step, e.g. 1/4096"),
+    "s": ("--s", _named(unit_time), "rational interval start in [0, 1]"),
+    "t": ("--t", _named(unit_time), "rational interval end in [0, 1]"),
+    "points": ("--points", _at_least(2), "output points"),
+    "depth": ("--depth", _at_least(1), "dyadic grid depth"),
+    "eps": ("--eps", float, "bound slack"),
+    "beta": ("--beta", float, "second-level exponent"),
+    "json": ("--json", None, "write JSON instead of CSV"),
+    "y0": ("--y0", str, "comma-separated start state"),
+    "b1": ("--b1", int, "first base"),
+    "b2": ("--b2", int, "second base"),
+    "n": ("--n", int, "first-base mode"),
+    "ell": ("--ell", int, "second-base mode"),
+    "samples": ("--samples", _at_least(1), "sampled intervals"),
+    "out": ("--out", str, "output path (stdout when absent)"),
+}
 
 
 def _fmt(value) -> str:
@@ -81,6 +131,13 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _emit(path, text: str) -> None:
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        Path(path).write_text(text)
+
+
 def _write_csv(path, header, rows, metadata: dict) -> None:
     lines = [",".join(header)]
     for row in rows:
@@ -88,79 +145,45 @@ def _write_csv(path, header, rows, metadata: dict) -> None:
     for key in metadata:
         lines.append(f"# {key}={_fmt(metadata[key])}")
     lines.append(f"# generator=weierpath {__version__}")
-    text = "\n".join(lines) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        Path(path).write_text(text)
+    _emit(path, "\n".join(lines) + "\n")
 
 
-def _write_json(path, payload: dict) -> None:
-    payload = dict(payload)
-    payload["generator"] = f"weierpath {__version__}"
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        Path(path).write_text(text)
+def _write_json(path, payload: dict, v: VectorWeierstrass) -> None:
+    payload = {**payload, "components": [c.to_config() for c in v.components],
+               "generator": f"weierpath {__version__}"}
+    _emit(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _components_from_args(args) -> VectorWeierstrass:
-    if any(getattr(args, flag, False) for flag in ("figure1", "figure3", "figure_params")):
+    # args holds the flags of one component source (see _with_sources)
+    if hasattr(args, "figure_params"):
         return VectorWeierstrass(
             [validate_component(c["b"], a=c["a"], phase=args.phase) for c in FIGURE_COMPONENTS]
         )
-    if args.config is not None:
+    if hasattr(args, "config"):
         try:
             cfg = json.loads(Path(args.config).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise ParameterError(f"--config: cannot read {args.config}: {exc}") from exc
         return vector_from_config(cfg)
-    bs = args.b or []
-    amps = args.a or []
-    alphas = getattr(args, "component_alpha", None) or []
+    bs, amps, alphas = args.b, args.a, getattr(args, "component_alpha", [])
     if not bs:
         raise ParameterError("--b: give at least one base (or use --config / a preset)")
     if amps and alphas:
         raise ParameterError("give --a or --alpha per component, not both")
-    values = amps if amps else alphas
+    key, values = ("a", amps) if amps else ("alpha", alphas)
     if len(values) != len(bs):
-        flag = "--a" if amps else "--alpha"
-        raise ParameterError(f"{flag}: need exactly one value per --b (got {len(values)} for {len(bs)})")
-    comps = []
-    for b, val in zip(bs, values):
-        if amps:
-            comps.append(validate_component(b, a=val, phase=args.phase))
-        else:
-            comps.append(validate_component(b, alpha=float(val), phase=args.phase))
-    return VectorWeierstrass(comps)
+        raise ParameterError(f"--{key}: need exactly one value per --b (got {len(values)} for {len(bs)})")
+    return VectorWeierstrass([validate_component(b, **{key: x}, phase=args.phase)
+                              for b, x in zip(bs, values)])
 
 
-def _component_flags(p: _Parser, with_alpha: bool = True) -> None:
-    p.add_argument("--b", type=int, action="append", help="component base (repeatable)")
-    p.add_argument("--a", action="append", help="amplitude ratio, e.g. 18/25 (repeatable)")
-    if with_alpha:
-        p.add_argument("--alpha", dest="component_alpha", action="append",
-                       help="Hoelder exponent per component (alternative to --a)")
-    p.add_argument("--phase", default="cos", choices=["cos", "sin"])
-    p.add_argument("--config", help="JSON config file with a components list")
-    p.add_argument("--figure-params", dest="figure_params", action="store_true",
-                   help="use the standard two-component parameter pair")
-
-
-def _truncation_flags(p: _Parser) -> None:
-    p.add_argument("--N", type=int)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--eps-prime", dest="eps_prime", type=float, default=0.1)
-
-
-def _truncation(args, default_N: int):
-    """(truncation, metadata): a TruncationPolicy if --tol is given, else --N or ``default_N``."""
-    if args.tol is not None:
+def _truncation(args):
+    """(truncation, metadata): a TruncationPolicy in a tolerance mode, else the level --N."""
+    if hasattr(args, "tol"):
         return (TruncationPolicy.tolerance(args.tol, args.eps_prime),
                 {"tol": args.tol, "epsPrime": args.eps_prime})
-    N = args.N if args.N is not None else default_N
-    return N, {"N": N}
+    return args.N, {"N": args.N}
 
 
 def _meta_components(v: VectorWeierstrass) -> dict:
@@ -171,103 +194,76 @@ def _meta_components(v: VectorWeierstrass) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands; each reads exactly the flags of its mode in COMMANDS
 
 
 def _cmd_eval(args) -> int:
     v = _components_from_args(args)
-    N = args.N if args.N is not None else 20
-    if args.figure1:
+    if args.mode == "figure1":
         times = [Fraction(k, args.points - 1) for k in range(args.points)]
+        grid = {"grid": f"uniform {args.points} points on [0,1]"}
     else:
-        step = to_fraction(args.grid_step) if args.grid_step else Fraction(1, 1024)
-        if not (0 < step <= 1):
+        if not (0 < args.grid_step <= 1):
             raise ParameterError("--grid-step must lie in (0, 1]")
-        times = [k * step for k in range(int(1 / step) + 1)]
-    rows = [(t, *(eval_truncated(c, N, t) for c in v.components)) for t in times]
+        times = [k * args.grid_step for k in range(int(1 / args.grid_step) + 1)]
+        grid = {"grid_step": args.grid_step}
+    rows = [(t, *(eval_truncated(c, args.N, t) for c in v.components)) for t in times]
     header = [f"W{i+1}" for i in range(v.d)]
-    if args.figure1:
-        out = args.out or "figure1"
-        meta = {"N": N, "grid": f"uniform {args.points} points on [0,1]", **_meta_components(v)}
-        _write_csv(f"{out}_curves.csv", ["t"] + header, rows, meta)
-        _write_csv(f"{out}_parametric.csv", header, [row[1:] for row in rows], meta)
-        return 0
-    meta = {"N": N, "grid_step": step, **_meta_components(v)}
-    _write_csv(args.out, ["t"] + header, rows, meta)
+    meta = {"N": args.N, **grid, **_meta_components(v)}
+    if args.mode == "figure1":
+        _write_csv(f"{args.out}_curves.csv", ["t"] + header, rows, meta)
+        _write_csv(f"{args.out}_parametric.csv", header, [row[1:] for row in rows], meta)
+    else:
+        _write_csv(args.out, ["t"] + header, rows, meta)
     return 0
 
 
 def _cmd_lift(args) -> int:
     v = _components_from_args(args)
-    s = unit_time(to_fraction(args.s))
-    t = unit_time(to_fraction(args.t))
-    truncation, mode = _truncation(args, 20)
+    truncation, mode = _truncation(args)
     lift = lift_truncated if isinstance(truncation, int) else lift_limit
-    inc = lift(v, truncation, s, t)
+    inc = lift(v, truncation, args.s, args.t)
     _write_json(args.out, {
-        "s": _fmt(s),
-        "t": _fmt(t),
+        "s": _fmt(args.s),
+        "t": _fmt(args.t),
         "first": inc.first.tolist(),
         "second": inc.second.tolist(),
-        "components": [c.to_config() for c in v.components],
         **mode,
-    })
+    }, v)
     return 0
 
 
 def _cmd_norms(args) -> int:
     v = _components_from_args(args)
-    if args.witness:
-        N = args.N if args.N is not None else 10
-        results = [nonconvergence_witness(c, N) for c in v.components]
-        _write_json(args.out, {
-            "N": N,
-            "witnesses": [
-                {"t": _fmt(w.witness_t), "lowerBound": w.lower_bound,
-                 "measuredRatio": w.measured_ratio}
-                for w in results
-            ],
-            "components": [c.to_config() for c in v.components],
-        })
+    if args.mode == "witness":
+        witnesses = [nonconvergence_witness(c, args.N) for c in v.components]
+        _write_json(args.out, {"N": args.N, "witnesses": [
+            {"t": _fmt(w.witness_t), "lowerBound": w.lower_bound, "measuredRatio": w.measured_ratio}
+            for w in witnesses
+        ]}, v)
         return 0
-    if args.estimate_exponent:
-        N = args.N if args.N is not None else 20
-        rows = []
-        fits = []
-        for i, c in enumerate(v.components):
-            fit = estimate_exponent(c, N, args.depth)
-            fits.append(fit)
-            rows.extend((i, m, scale, sup) for (m, scale, sup) in fit.csv_rows())
-        meta = {"N": N, "depth": args.depth, **_meta_components(v)}
+    if args.mode == "exponent":
+        fits = [estimate_exponent(c, args.N, args.depth) for c in v.components]
+        rows = [(i, *row) for i, fit in enumerate(fits) for row in fit.csv_rows()]
+        meta = {"N": args.N, "depth": args.depth, **_meta_components(v)}
         for i, fit in enumerate(fits):
-            meta[f"alphaHat{i}"] = fit.alpha_hat
-            meta[f"constant{i}"] = fit.constant
+            meta.update({f"alphaHat{i}": fit.alpha_hat, f"constant{i}": fit.constant})
         _write_csv(args.out, ["component", "m", "scale", "supIncrement"], rows, meta)
         return 0
-    if args.norm_alpha is None:
-        raise ParameterError("--alpha: required for the seminorm estimate")
-    truncation, _ = _truncation(args, 20)
-    est = rough_norm(v, truncation, args.norm_alpha, args.depth)
-    _write_json(args.out, {
-        **est.to_json_dict(),
-        "components": [c.to_config() for c in v.components],
-    })
+    truncation, _ = _truncation(args)
+    _write_json(args.out, rough_norm(v, truncation, args.norm_alpha, args.depth).to_json_dict(), v)
     return 0
 
 
 def _cmd_converge(args) -> int:
     v = _components_from_args(args)
-    Ns = _list_flag("--Ns", args.Ns, int, list(range(4, 13)))
     report = convergence_report(
-        v, Ns,
+        v, _list_flag("--Ns", args.Ns, int),
         alpha=args.norm_alpha, eps=args.eps, beta=args.beta,
         eps_prime=args.eps_prime, depth=args.depth,
     )
     if args.json:
-        _write_json(args.out, {
-            **report.to_json_dict(),
-            "components": [c.to_config() for c in v.components],
-        })
+        _write_json(args.out, report.to_json_dict(), v)
         return 0
     keys = ("fittedRatio fittedRatioFirst fittedRatioSecond theoreticalRho kappa beta eps "
             "epsPrime alpha referenceLevel monotone gridSpec").split()
@@ -279,44 +275,32 @@ def _cmd_converge(args) -> int:
 
 def _cmd_rde(args) -> int:
     v = _components_from_args(args)
-    y0 = np.array(_list_flag("--y0", args.y0, float, [1.0, 0.0]))
-    step = to_fraction(args.step) if args.step else None
-    problem = RdeProblem(BilinearField(), v, y0, step=step)
-    meta_common = {"y0": args.y0 or "1,0", **_meta_components(v)}
-    if args.figure3:
-        out = args.out or "figure3"
+    y0 = np.array(_list_flag("--y0", args.y0, float))
+    problem = RdeProblem(BilinearField(), v, y0, step=args.step)
+    header = ["t"] + [f"Y{i+1}" for i in range(v.d)]
+    meta_common = {"y0": args.y0, **_meta_components(v)}
+    if args.mode == "figure3":
         for N in (4, 8, 12):
             path = solve_ode_truncated(problem, N, output_points=args.points)
-            _write_csv(
-                f"{out}_N{N}.csv",
-                ["t"] + [f"Y{i+1}" for i in range(v.d)],
-                path.csv_rows(),
-                {"N": N, **meta_common},
-            )
+            _write_csv(f"{args.out}_N{N}.csv", header, path.csv_rows(), {"N": N, **meta_common})
         return 0
-    if args.rough:
-        truncation, mode = _truncation(args, 8)
-        mode = {"mode": "rough-limit" if args.tol is not None else "rough-truncated", **mode}
-        path = solve_rough(problem, truncation, step=step, output_points=args.points)
-    else:
-        N = args.N if args.N is not None else 8
-        mode = {"mode": "ode-truncated", "N": N}
-        path = solve_ode_truncated(problem, N, output_points=args.points)
-    _write_csv(args.out, ["t"] + [f"Y{i+1}" for i in range(v.d)],
-               path.csv_rows(), {**mode, **meta_common})
+    truncation, mode = _truncation(args)
+    solve = solve_ode_truncated if args.mode == "ode" else solve_rough
+    path = solve(problem, truncation, output_points=args.points)
+    kind = {"ode": "ode-truncated", "rough N": "rough-truncated", "rough tol": "rough-limit"}
+    _write_csv(args.out, header, path.csv_rows(), {"mode": kind[args.mode], **mode, **meta_common})
     return 0
 
 
 def _cmd_demo(args) -> int:
-    b = args.b[0] if args.b else 2
-    a = validate_component(b, a=args.a[0]).a_rational if args.a else Fraction(18, 25)
-    Ns = _list_flag("--Ns", args.Ns, int, list(range(1, 17)))
-    table = mixed_integral_table(b, float(a), Ns, to_fraction(args.s), to_fraction(args.t))
+    a = validate_component(args.b, a=args.a).a_rational
+    table = mixed_integral_table(args.b, float(a), _list_flag("--Ns", args.Ns, int),
+                                 args.s, args.t)
     header = ["N", "F1dG1", "F2dG2", "sumCombo", "diffCombo",
               "deltaF1dG1", "deltaF2dG2", "deltaSum", "deltaDiff"]
     rows = [tuple("" if x is None else x for x in row) for row in table.csv_rows()]
     _write_csv(args.out, header, rows,
-               {"b": b, "a": _fmt(a), "s": _fmt(table.s), "t": _fmt(table.t)})
+               {"b": args.b, "a": _fmt(a), "s": _fmt(table.s), "t": _fmt(table.t)})
     return 0
 
 
@@ -332,93 +316,109 @@ def _cmd_bounds(args) -> int:
             lo = (i * 7919) % (den - width)
             sample.append((Fraction(lo, den), Fraction(lo + width, den)))
     diag = bound_diagnostics(pair, sample, eps=args.eps, phase=Phase(args.phase))
-    meta = {"eps": args.eps, **{k: v for k, v in diag.constants.items()},
-            "flagged": ",".join(diag.flagged) or "none"}
+    meta = {"eps": args.eps, **diag.constants, "flagged": ",".join(diag.flagged) or "none"}
     _write_csv(args.out, ["n", "ell", "s", "t", "J", "bound_i", "bound_ii", "bound_iii", "bound_iv"],
                diag.csv_rows(), meta)
     return 0
+
+
+# ---------------------------------------------------------------------------
+# the table: subcommand -> (handler, help, {(mode, component source): flag -> default})
+
+REQUIRED = object()
+_PRESET = {"figure_params": False, "phase": "cos"}  # the fixed pair; --figure-params is redundant
+_TOL = {"tol": REQUIRED, "eps_prime": 0.1}
+_ST = {"s": Fraction(0), "t": Fraction(1)}
+_PATH = {"points": 1025, "step": None, "y0": "1,0"}
+
+
+def _with_sources(modes: dict, *per_component: str) -> dict:
+    """Each mode keyed by (name, source) for each component source in turn; a preset has none."""
+    sources = {"--figure-params": {"figure_params": REQUIRED, "phase": "cos"},
+               "--config": {"config": REQUIRED},
+               "--b": {**{dest: [] for dest in per_component}, "phase": "cos"}}
+    return {(name, source): {**components, **flags} for name, flags in modes.items()
+            for source, components in ([(None, {})] if "figure_params" in flags else sources.items())}
+
+
+COMMANDS = {
+    "eval": (_cmd_eval, "truncated values on a time grid", _with_sources({
+        "figure1": {"figure1": REQUIRED, **_PRESET, "N": 20, "points": 2049, "out": "figure1"},
+        "grid": {"N": 20, "grid_step": Fraction(1, 1024)},
+    }, "b", "a", "component_alpha")),
+    "lift": (_cmd_lift, "one rough increment as JSON", _with_sources({
+        "tol": {**_TOL, **_ST},
+        "N": {"N": 20, **_ST},
+    }, "b", "a", "component_alpha")),
+    "norms": (_cmd_norms, "seminorm estimate, exponent fit, or witness", _with_sources({
+        "witness": {"witness": REQUIRED, "N": 10},
+        "exponent": {"estimate_exponent": REQUIRED, "N": 20, "depth": 10},
+        "seminorm tol": {"norm_alpha": REQUIRED, **_TOL, "depth": 10},
+        "seminorm N": {"norm_alpha": REQUIRED, "N": 20, "depth": 10},
+    }, "b", "a")),
+    "converge": (_cmd_converge, "convergence-rate report", _with_sources({
+        "report": {"Ns": "4,5,6,7,8,9,10,11,12", "norm_alpha": None, "eps": 0.02, "beta": None,
+                   "eps_prime": 0.1, "depth": 8, "json": False},
+    }, "b", "a")),
+    "rde": (_cmd_rde, "paths of dY = M(Y) dW for the 2x2 bilinear field", _with_sources({
+        "figure3": {"figure3": REQUIRED, **_PRESET, **_PATH, "out": "figure3"},
+        "rough tol": {"rough": REQUIRED, **_TOL, **_PATH},
+        "rough N": {"rough": REQUIRED, "N": 8, **_PATH},
+        "ode": {"N": 8, **_PATH},
+    }, "b", "a", "component_alpha")),
+    "demo": (_cmd_demo, "equal-base mixed-integral table", {("table", None): {
+        "b": 2, "a": "18/25", "Ns": "1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16",
+        "s": Fraction(0), "t": Fraction(7, 10)}}),
+    "bounds": (_cmd_bounds, "elementary-integral bound diagnostics", {("diagnostics", None): {
+        "b1": REQUIRED, "b2": REQUIRED, "n": REQUIRED, "ell": REQUIRED, "eps": REQUIRED,
+        "phase": "cos", "depth": 10, "samples": 100}}),
+}
+
+
+def _mode(command: str, given) -> tuple:
+    """The (mode, component source) that the ``given`` dests select, and the flags it reads."""
+    for key, flags in COMMANDS[command][2].items():
+        if all(dest in given for dest, default in flags.items() if default is REQUIRED):
+            return key, {"out": None, **flags}
+    missing = next(dest for dest, default in flags.items() if default is REQUIRED and dest not in given)
+    raise ParameterError(f"{FLAGS[missing][0]}: required by the {command} {key[0]} mode")
+
+
+def _check(args) -> None:
+    """Exit 1 on a flag the chosen mode does not read; else fill in its defaults."""
+    given = {dest: value for dest, value in vars(args).items() if dest != "command"}
+    (args.mode, source), flags = _mode(args.command, given)
+    label = f"the {args.command} {args.mode} mode" + (f" (components from {source})" if source else "")
+    for dest, value in given.items():
+        if dest not in flags:
+            raise ParameterError(f"{FLAGS[dest][0]}: not read by {label}")
+        if isinstance(value, list) and not isinstance(flags[dest], list):
+            if len(value) > 1:
+                raise ParameterError(f"{FLAGS[dest][0]}: {label} reads one value, got {len(value)}")
+            given[dest] = value[0]
+    vars(args).update({**flags, **given})
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="weierpath", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"weierpath {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("eval", help="truncated values on a time grid")
-    _component_flags(p)
-    p.add_argument("--N", type=int)
-    p.add_argument("--grid-step", help="rational grid step, e.g. 1/1024")
-    p.add_argument("--points", type=_at_least(2), default=2049, help="points for --figure1")
-    p.add_argument("--figure1", action="store_true",
-                   help="emit the two-panel preset for the standard parameter pair")
-    p.set_defaults(fn=_cmd_eval)
-
-    p = sub.add_parser("lift", help="one rough increment as JSON")
-    _component_flags(p)
-    _truncation_flags(p)
-    p.add_argument("--s", default="0")
-    p.add_argument("--t", default="1")
-    p.set_defaults(fn=_cmd_lift)
-
-    p = sub.add_parser("norms", help="seminorm estimate, exponent fit, or witness")
-    _component_flags(p, with_alpha=False)
-    p.add_argument("--alpha", dest="norm_alpha", type=float,
-                   help="seminorm exponent (must lie in (1/3, min component alpha])")
-    _truncation_flags(p)
-    p.add_argument("--depth", type=_at_least(1), default=10)
-    p.add_argument("--estimate-exponent", action="store_true")
-    p.add_argument("--witness", action="store_true")
-    p.set_defaults(fn=_cmd_norms)
-
-    p = sub.add_parser("converge", help="convergence-rate report")
-    _component_flags(p, with_alpha=False)
-    p.add_argument("--Ns", help="comma-separated truncation levels")
-    p.add_argument("--alpha", dest="norm_alpha", type=float)
-    p.add_argument("--eps", type=float, default=0.02)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--eps-prime", dest="eps_prime", type=float, default=0.1)
-    p.add_argument("--depth", type=_at_least(1), default=8)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=_cmd_converge)
-
-    p = sub.add_parser("rde", help="paths of dY = M(Y) dW for the 2x2 bilinear field")
-    _component_flags(p)
-    _truncation_flags(p)
-    p.add_argument("--step")
-    p.add_argument("--y0", help="comma-separated start state (default 1,0)")
-    p.add_argument("--points", type=_at_least(2), default=1025)
-    p.add_argument("--rough", action="store_true", help="use the rough stepper")
-    p.add_argument("--figure3", action="store_true",
-                   help="emit the three-level preset (N = 4, 8, 12)")
-    p.set_defaults(fn=_cmd_rde)
-
-    p = sub.add_parser("demo", help="equal-base mixed-integral table")
-    _component_flags(p)
-    p.add_argument("--Ns", help="comma-separated levels (default 1..16)")
-    p.add_argument("--s", default="0")
-    p.add_argument("--t", default="7/10")
-    p.set_defaults(fn=_cmd_demo)
-
-    p = sub.add_parser("bounds", help="elementary-integral bound diagnostics")
-    p.add_argument("--b1", type=int, required=True)
-    p.add_argument("--b2", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--phase", default="cos", choices=["cos", "sin"])
-    p.add_argument("--depth", type=_at_least(1), default=10)
-    p.add_argument("--samples", type=_at_least(1), default=100)
-    p.set_defaults(fn=_cmd_bounds)
-    for p in sub.choices.values():
-        p.add_argument("--out")
+    for command, (_, text, modes) in COMMANDS.items():
+        # absent flags stay unset, so _check sees exactly the flags given
+        p = sub.add_parser(command, help=text, argument_default=argparse.SUPPRESS)
+        read = {"out"}.union(*modes.values())
+        for dest in (dest for dest in FLAGS if dest in read):
+            option, kind, doc = FLAGS[dest]
+            action = {"action": "store_true"} if kind is None else {"action": "append", "type": kind}
+            p.add_argument(option, dest=dest, help=doc, **action)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        return args.fn(args)
+        args = build_parser().parse_args(argv)
+        _check(args)
+        return COMMANDS[args.command][0](args)
     except ToleranceUnreachable as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -3,10 +3,13 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from weierpath import cli
 from weierpath.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -97,6 +100,12 @@ class TestExitCodes:
         (["rde", "--figure-params", "--points", "1"], "--points"),
         (["norms", "--figure-params", "--alpha", "0.46", "--depth", "0"], "--depth"),
         (["converge", "--figure-params", "--depth", "0"], "--depth"),
+        # rational flags parse through an argparse type, so the message names them
+        (["lift", "--figure-params", "--s", "x"], "--s"),
+        (["eval", "--b", "2", "--a", "18/25", "--grid-step", "1/0"], "--grid-step"),
+        (["rde", "--figure-params", "--step", "x"], "--step"),
+        (["demo", "--t", "x"], "--t"),
+        (["lift", "--figure-params", "--t", "3/2"], "--t"),
     ])
     def test_bad_value_is_one_and_names_the_flag(self, argv, flag, tmp_path, capsys):
         code, _, err = run(argv + ["--out", str(tmp_path / "out")], capsys)
@@ -115,6 +124,37 @@ class TestExitCodes:
         assert code == 1
         assert "tolerance must be positive and finite, got inf" in err
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv,flags", [
+        ("rde --figure-params --tol 1e-6 --points 3", ["--tol"]),
+        ("norms --figure-params --witness --tol 1e-6", ["--tol"]),
+        ("lift --figure-params --N 3 --tol 1e-6", ["--N"]),
+        ("lift --figure-params --N 3 --eps-prime 0.2", ["--eps-prime"]),
+        ("rde --figure3 --rough --points 3", ["--rough"]),
+        ("rde --figure3 --N 5 --points 3", ["--N"]),
+        ("rde --figure-params --N 4 --tol 1e-6 --rough --step 1/64 --points 3", ["--N"]),
+        ("norms --figure-params --witness --estimate-exponent --alpha 0.46",
+         ["--estimate-exponent", "--alpha"]),
+        ("norms --figure-params --estimate-exponent --alpha 0.46 --depth 4", ["--alpha"]),
+        ("eval --figure-params --N 3 --grid-step 1/2 --points 5", ["--points"]),
+        ("eval --figure1 --b 5 --a 1/2 --N 3 --points 3", ["--b", "--a"]),
+        ("eval --config cfg.json --b 3 --a 3/5 --N 3 --grid-step 1/2", ["--b", "--a"]),
+        ("eval --figure-params --config cfg.json --N 3 --grid-step 1/2", ["--config"]),
+        ("demo --figure-params --Ns 1,2", ["--figure-params"]),
+        ("demo --phase sin --Ns 1,2", ["--phase"]),
+        ("demo --b 2 --b 3 --a 18/25 --a 3/5 --Ns 1,2", ["--b"]),
+        ("demo --config cfg.json --Ns 1,2", ["--config"]),
+        ("demo --alpha 0.4 --Ns 1,2", ["--alpha"]),
+    ])
+    def test_flag_the_mode_does_not_read_is_one(self, argv, flags, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"components": [{"b": 2, "a": "18/25"}]}))
+        out = tmp_path / "out"
+        argv = [str(cfg) if x == "cfg.json" else x for x in argv.split()]
+        code, _, err = run(argv + ["--out", str(out)], capsys)
+        assert code == 1
+        assert any(flag in err for flag in flags), err
+        assert sorted(tmp_path.iterdir()) == [cfg]
 
     def test_bad_demo_amplitude_is_one(self, capsys):
         # validate_component parses the amplitude, so the message names it
@@ -232,6 +272,74 @@ class TestBounds:
         lines = out.splitlines()
         assert lines[0] == "n,ell,s,t,J,bound_i,bound_ii,bound_iii,bound_iv"
         assert any(l.startswith("# bound_iv=") for l in lines)
+
+
+class TestGeneratedArgv:
+    """cli.main on argv drawn from the table: a mode's flags, valid and invalid values, a stray flag."""
+
+    # values per dest, valid ones first; sizes capped so that no run takes long
+    # (eval has no cost guard: a fine --grid-step or many --points run for minutes)
+    VALUES = {
+        "b": ["2", "3", "5", "1", "x"], "a": ["18/25", "3/5", "1/2", "2", "x"],
+        "component_alpha": ["0.47", "0.4", "1.5", "x"], "phase": ["cos", "sin", "tan"],
+        "config": ["cfg.json", "missing.json"], "N": ["2", "4", "0", "-1", "x"],
+        "tol": ["1e-3", "1e-4", "1e-30", "0", "inf", "x"], "eps_prime": ["0.1", "0.5", "0", "x"],
+        "norm_alpha": ["0.46", "0.4", "0.9", "0.2", "x"], "beta": ["0.4", "0.44", "x"],
+        "eps": ["0.02", "0.2", "0", "x"], "Ns": ["2,3", "3,5", "4", "0,1", "x"],
+        "grid_step": ["1/4", "1/16", "1", "0", "2", "x"], "step": ["1/64", "1/256", "1/2", "0", "x"],
+        "s": ["0", "1/3", "1/2", "3/2", "x"], "t": ["1", "1/2", "2/3", "-1", "x"],
+        "points": ["2", "5", "9", "1", "x"], "depth": ["4", "5", "6", "0", "x"],
+        "y0": ["1,0", "0.5,1", "1", "x"], "samples": ["4", "8", "0"],
+        "b1": ["2", "3", "x"], "b2": ["3", "5"], "n": ["1", "2", "0"], "ell": ["1", "3"],
+    }
+    SIZES = {"N", "points", "depth", "grid_step", "Ns", "samples"}
+    SLOW = "figure3"  # three ODE solves up to N = 12, about 1 s at any --points
+
+    @classmethod
+    def draw_argv(cls, data, command):
+        """argv of one mode of ``command``, every size flag given, and maybe one stray flag."""
+        modes = cli.COMMANDS[command][2]
+        flags = modes[data.draw(st.sampled_from([key for key in modes if key[0] != cls.SLOW]))]
+        dests = [d for d, v in flags.items() if v is cli.REQUIRED] + sorted(cls.SIZES & set(flags))
+        dests += [d for d in flags if d not in dests and d != "out" and data.draw(st.booleans())]
+        if data.draw(st.booleans()):
+            stray = {d for f in modes.values() for d in f} - {"out", cls.SLOW}
+            dests.append(data.draw(st.sampled_from(sorted(stray))))
+        dests = data.draw(st.permutations(list(dict.fromkeys(dests))))
+        argv, count = [command], data.draw(st.sampled_from([1, 1, 2]))
+        for dest in dests:
+            option, kind, _ = cli.FLAGS[dest]
+            if kind is None:
+                argv.append(option)
+                continue
+            for _ in range(count if isinstance(flags.get(dest), list) else 1):
+                argv += [option, data.draw(st.sampled_from(cls.VALUES[dest]))]
+        return argv, set(dests)
+
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    @settings(max_examples=30, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_exit_code_and_output(self, command, data, tmp_path, capsys):
+        argv, given_dests = self.draw_argv(data, command)
+        run_dir = Path(tempfile.mkdtemp(dir=tmp_path))
+        (run_dir / "cfg.json").write_text(json.dumps({"components": [{"b": 2, "a": "18/25"}]}))
+        argv = [str(run_dir / x) if x.endswith(".json") else x for x in argv]
+        code = main(argv + ["--out", str(run_dir / "out")])
+        capsys.readouterr()
+        assert code in (0, 1, 2)
+        if code != 0:
+            return
+        _, flags = cli._mode(command, given_dests)
+        assert given_dests <= set(flags)
+        outputs = [p for p in run_dir.iterdir() if p.name != "cfg.json"]
+        assert outputs
+        for path in outputs:
+            text = path.read_text()
+            if text.startswith("{"):
+                json.loads(text)
+                continue
+            rows = [line.split(",") for line in text.splitlines() if not line.startswith("#")]
+            assert len(rows) >= 2 and len({len(row) for row in rows}) == 1
 
 
 class TestDeterminism:
