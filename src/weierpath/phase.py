@@ -8,17 +8,18 @@ w*t is reduced mod 2 with arbitrary-precision integers, and only the
 reduced argument in [0, 2) ever reaches libm.  The returned trig value is
 then accurate to an ulp or so for any frequency.
 
-Three evaluation paths share this reduction:
+Four evaluation paths share this reduction:
 
 * scalar: one Fraction time, one big-int frequency (phase_mod2);
 * table: a dyadic grid k/den with small den, where cos(pi*r/den) is
   precomputed for every residue r in [0, 2*den);
 * affine: uniform node families (start + j*step); only about 2*sqrt(count)
   anchor and offset phases are reduced exactly, and node values follow by
-  angle addition.
+  angle addition (the quadrature oracle);
+* lattice: offset phases reduced once for all nodes origin + g*step (the ODE).
 
-The table and affine paths share one exact array reducer, _residues, which
-reduces one mode or a whole set of modes per call.
+The table, affine and lattice paths share one exact array reducer, _residues,
+for one mode or a set of modes per call.
 
 All functions are pure; tables are immutable after construction.
 """
@@ -41,6 +42,7 @@ __all__ = [
     "sin_pi",
     "TrigTable",
     "AffineNodes",
+    "AnchorLattice",
 ]
 
 
@@ -147,6 +149,7 @@ def _residues(r0, c, j, two_den: int) -> np.ndarray:
 
 
 _MAX_TABLE_DEN = 1 << 20
+LATTICE_R = 512
 
 
 class TrigTable:
@@ -194,24 +197,43 @@ class TrigTable:
         return self._cos[r], self._sin[r]
 
 
-class AffineNodes:
-    """Exact uniform node family t_j = start + j*step, j = 0..count-1.
+class AnchorLattice:
+    """Exact node lattice t_g = origin + g*step, g >= 0: node g = q*R + r, R = LATTICE_R, has the
+    phase w*t_{q*R} + w*r*step in mode w, from exact anchors and offsets shared by every window."""
 
-    With j = q*R + r, R = isqrt(count - 1) + 1 and Q = ceil(count / R), only
-    the Q anchor phases scale*t_{q*R} and the R offset phases scale*r*step
-    are reduced mod 2 exactly; node values follow by angle addition over the
-    (Q, R) grid, within 4e-15 of np.sin/np.cos on the reduced angles.
+    def __init__(self, origin, step):
+        origin, step = to_fraction(origin), to_fraction(step)
+        self.den = math.lcm(origin.denominator, step.denominator)
+        self.num0 = origin.numerator * (self.den // origin.denominator)
+        self.dnum = step.numerator * (self.den // step.denominator)
+
+    def _angles(self, r0, c, n: int) -> np.ndarray:
+        """pi/den times the residues (r0 + j*c) mod 2*den for j = 0..n-1 (see _residues)."""
+        return (np.pi / self.den) * _residues(r0, c, np.arange(n), 2 * self.den).astype(np.float64)
+
+    def offsets(self, scales: list[int]) -> np.ndarray:
+        """B[n, r] = scales[n]*pi*r*step mod 2*pi for r < R, (modes, R), in one _residues call."""
+        return self._angles(0, [s * self.dnum for s in scales], LATTICE_R)
+
+    def anchors(self, scales: list[int], q0: int, Q: int) -> np.ndarray:
+        """A[n, q] = scales[n]*pi*t_{(q0 + q)*R} mod 2*pi for q < Q, (modes, Q), in one _residues call."""
+        num = self.num0 + q0 * LATTICE_R * self.dnum
+        return self._angles([s * num for s in scales], [s * LATTICE_R * self.dnum for s in scales], Q)
+
+
+class AffineNodes(AnchorLattice):
+    """The first count nodes t_j = start + j*step of AnchorLattice(start, step) (the quadrature oracle).
+
+    On a grid of their own, j = q*R + r with R = isqrt(count - 1) + 1 and
+    Q = ceil(count / R), only the Q anchor phases scale*t_{q*R} and the R
+    offset phases scale*r*step are reduced mod 2 exactly; node values follow
+    by angle addition, within 4e-15 of np.sin/np.cos on the reduced angles.
     """
 
     def __init__(self, start, step, count: int):
         if count < 1:
             raise ParameterError("node count must be >= 1")
-        start = to_fraction(start)
-        step = to_fraction(step)
-        den = math.lcm(start.denominator, step.denominator)
-        self.den = den
-        self.num0 = start.numerator * (den // start.denominator)
-        self.dnum = step.numerator * (den // step.denominator)
+        super().__init__(start, step)
         self.count = count
 
     def times(self) -> np.ndarray:
@@ -219,31 +241,22 @@ class AffineNodes:
         j = np.arange(self.count, dtype=np.float64)
         return (self.num0 + j * self.dnum) / self.den
 
-    def _angles(self, r0, c, n: int) -> np.ndarray:
-        """pi/den times the residues (r0 + j*c) mod 2*den for j = 0..n-1 (see _residues)."""
-        return (np.pi / self.den) * _residues(r0, c, np.arange(n), 2 * self.den).astype(np.float64)
-
-    def _anchor_offset(self, scales: list[int]):
-        """Anchor angles A[n, q] = w*pi*t_{q*R} and offsets B[n, r] = w*pi*r*step, w = scales[n].
-
-        A is (modes, Q) and B is (modes, R), reduced mod 2*pi exactly, each in one call for all modes.
-        """
+    def _anchor_offset(self, scale: int):
+        """Anchor angles A[q] = scale*pi*t_{q*R} and offsets B[r] = scale*pi*r*step, exact mod 2*pi."""
         R = math.isqrt(self.count - 1) + 1
-        Q = -(-self.count // R)
-        a = self._angles([s * self.num0 for s in scales], [s * R * self.dnum for s in scales], Q)
-        b = self._angles(0, [s * self.dnum for s in scales], R)
-        return a, b
+        a = self._angles(scale * self.num0, scale * R * self.dnum, -(-self.count // R))
+        return a, self._angles(0, scale * self.dnum, R)
 
     def cos_scaled(self, scale: int) -> np.ndarray:
         """cos(scale*pi*t_j) for every node."""
-        (a,), (b,) = self._anchor_offset([scale])
+        a, b = self._anchor_offset(scale)
         vals = np.multiply.outer(np.cos(a), np.cos(b))
         vals -= np.multiply.outer(np.sin(a), np.sin(b))
         return vals.reshape(-1)[: self.count]
 
     def sin_scaled(self, scale: int) -> np.ndarray:
         """sin(scale*pi*t_j) for every node."""
-        (a,), (b,) = self._anchor_offset([scale])
+        a, b = self._anchor_offset(scale)
         vals = np.multiply.outer(np.sin(a), np.cos(b))
         vals += np.multiply.outer(np.cos(a), np.sin(b))
         return vals.reshape(-1)[: self.count]

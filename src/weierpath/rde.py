@@ -41,13 +41,9 @@ import numpy as np
 
 from .errors import ParameterError
 from .iterated import _grid_lift
-from .phase import AffineNodes, to_fraction, unit_time
+from .phase import AnchorLattice, to_fraction, unit_time
 from .roughpath import _geometric_second, _resolve_level
-from .weierstrass import (
-    TruncationPolicy,
-    VectorWeierstrass,
-    eval_derivative_affine,
-)
+from .weierstrass import TruncationPolicy, VectorWeierstrass, derivative_offsets, eval_derivative_affine
 
 __all__ = [
     "LinearStateField",
@@ -218,11 +214,19 @@ def _plane_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def _half_step_lattice(problem: RdeProblem, N: int, h: Fraction):
+    """The lattice of stage times g*h/2 from 0, with each driver component's derivative offsets on it."""
+    lattice = AnchorLattice(0, h / 2)
+    return lattice, [derivative_offsets(c, N, lattice) for c in problem.driver.components]
+
+
 def _stage_matrices(problem: RdeProblem, N: int, seg_start: Fraction, h: Fraction,
-                    steps: int) -> np.ndarray:
-    """RK4 propagator matrices of `steps` consecutive steps from seg_start, (d, d, steps)."""
-    nodes = AffineNodes(seg_start, h / 2, 2 * steps + 1)
-    wp = np.stack([eval_derivative_affine(c, N, nodes) for c in problem.driver.components])
+                    steps: int, lattice) -> np.ndarray:
+    """RK4 propagator matrices of `steps` consecutive steps from seg_start, (d, d, steps); the
+    stage times are the nodes from 2*seg_start/h on of lattice = _half_step_lattice(problem, N, h)."""
+    nodes, offsets = lattice
+    wp = np.stack([eval_derivative_affine(c, N, nodes, b, int(2 * seg_start / h), 2 * steps + 1)
+                   for c, b in zip(problem.driver.components, offsets)])
     # one (d, d, 2*steps+1) array for all nodes: built as even and odd halves,
     # the smaller temporaries let glibc trim the heap top and fault it in
     # again for every block
@@ -239,14 +243,14 @@ def _stage_matrices(problem: RdeProblem, N: int, seg_start: Fraction, h: Fractio
     return out
 
 
-def _local_error_check(problem: RdeProblem, N: int, h: Fraction, K: int, tol: float) -> None:
+def _local_error_check(problem: RdeProblem, N: int, h: Fraction, K: int, tol: float, lattice) -> None:
     """Richardson spot check of the local error on the solver's first min(4, K) steps.
 
-    Each step of size h is taken whole and as two halves, as RK4 step
-    matrices (_stage_matrices); the estimate is the gap between the results."""
+    Each step of size h is taken whole, on the solver's lattice, and as two halves, as RK4
+    step matrices (_stage_matrices); the estimate is the gap between the results."""
     steps = min(4, K)
-    whole = _stage_matrices(problem, N, Fraction(0), h, steps)
-    halves = _stage_matrices(problem, N, Fraction(0), h / 2, 2 * steps)
+    whole = _stage_matrices(problem, N, Fraction(0), h, steps, lattice)
+    halves = _stage_matrices(problem, N, Fraction(0), h / 2, 2 * steps, _half_step_lattice(problem, N, h / 2))
     twice = _plane_product(halves[..., 1::2], halves[..., ::2])
     y = problem.y0
     for k in range(steps):
@@ -327,9 +331,10 @@ def solve_ode_truncated(problem: RdeProblem, N: int, *, output_points: int = 102
     _step_guard(problem.driver, N, step)
     K, stride = _grid_layout(problem.t_end, step, output_points)
     h = problem.t_end / K
-    _local_error_check(problem, N, h, K, local_error_tol)
+    lattice = _half_step_lattice(problem, N, h)
+    _local_error_check(problem, N, h, K, local_error_tol, lattice)
     return _propagate(problem, K, stride,
-                      lambda k, n: _stage_matrices(problem, N, h * k, h, n))
+                      lambda k, n: _stage_matrices(problem, N, h * k, h, n, lattice))
 
 
 def _lift_table(driver: VectorWeierstrass, N: int, h: Fraction, K: int):

@@ -6,8 +6,8 @@ sine.  The Hoelder exponent alpha = -ln(a)/ln(b) and the amplitude a are
 kept mutually consistent to within an ulp.  All evaluation happens on the
 unit interval with exact phase reduction (see phase.py); scalar sums use
 math.fsum, grid sums use Kahan compensation in fixed ascending order, and
-derivatives on affine node families are one matrix product over the modes,
-so results are reproducible bit for bit on one machine.
+derivatives on a node lattice are one matrix product over the modes, so
+results are reproducible bit for bit on one machine.
 
 Everything here is pure and immutable; safe for concurrent use.
 """
@@ -23,14 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ParameterError
-from .phase import (
-    AffineNodes,
-    TrigTable,
-    cos_pi,
-    phase_mod2,
-    sin_pi,
-    unit_time,
-)
+from .phase import LATTICE_R, AnchorLattice, TrigTable, cos_pi, phase_mod2, sin_pi, unit_time
 
 __all__ = [
     "Phase",
@@ -43,6 +36,7 @@ __all__ = [
     "eval_vector",
     "eval_limit",
     "eval_truncated_grid",
+    "derivative_offsets",
     "eval_derivative_affine",
 ]
 
@@ -334,21 +328,25 @@ def eval_truncated_grid(c: WeierstrassComponent, N: int, table: TrigTable, idx: 
     return _kahan_modes(c.a, (trig(c.b**n, idx) for n in range(N + 1)), idx.shape, [N])[0]
 
 
-def eval_derivative_affine(c: WeierstrassComponent, N: int, nodes: AffineNodes) -> np.ndarray:
-    """Derivative of the level-N partial sum on exact affine nodes, by one GEMM.
-
-    Node j = q*R + r has the angle A_nq + B_nr in mode n; one call of
-    AffineNodes._anchor_offset reduces A and B of all modes exactly.  By
-    angle addition the sum over modes is the Q x 2(N+1) matrix [sin A | cos A]
-    times the 2(N+1) x R matrix [w*(-cos B) ; w*(-sin B)] (cosine phase) or
-    [w*(-sin B) ; w*cos B] (sine phase), with w_n = pi (ab)^n.
-    """
+def derivative_offsets(c: WeierstrassComponent, N: int, lattice: AnchorLattice) -> np.ndarray:
+    """The 2(N+1) x R right factor of eval_derivative_affine, from the lattice offsets B of each mode:
+    [w*(-cos B) ; w*(-sin B)] (cos phase) or [w*(-sin B) ; w*cos B] (sin phase), w_n = pi (ab)^n."""
     N = _validate_level(N)
-    a, b = nodes._anchor_offset([c.b**n for n in range(N + 1)])
+    b = lattice.offsets([c.b**n for n in range(N + 1)])
     w = math.pi * (c.a * c.b) ** np.arange(N + 1, dtype=np.float64)[:, None]
     if c.phase is Phase.COSINE:
-        right = [-w * np.cos(b), -w * np.sin(b)]
-    else:
-        right = [-w * np.sin(b), w * np.cos(b)]
+        return np.concatenate([-w * np.cos(b), -w * np.sin(b)])
+    return np.concatenate([-w * np.sin(b), w * np.cos(b)])
+
+
+def eval_derivative_affine(c: WeierstrassComponent, N: int, lattice: AnchorLattice, offsets: np.ndarray,
+                           first: int, count: int) -> np.ndarray:
+    """Derivative of the level-N partial sum at lattice nodes first .. first+count-1, by one GEMM.
+
+    Node g = q*R + r has the angle A_nq + B_nr in mode n; by angle addition the sum over modes is
+    [sin A | cos A] of the window's anchor rows times offsets = derivative_offsets(c, N, lattice)."""
+    q0, r0 = divmod(first, LATTICE_R)
+    # two rows at least: numpy runs one row as a GEMV, whose sums differ from GEMM's in the last bits
+    a = lattice.anchors([c.b**n for n in range(N + 1)], q0, max(2, (r0 + count - 1) // LATTICE_R + 1))
     left = np.concatenate([np.sin(a), np.cos(a)]).T
-    return (left @ np.concatenate(right)).reshape(-1)[: nodes.count]
+    return (left @ offsets).reshape(-1)[r0 : r0 + count]

@@ -1,4 +1,4 @@
-"""The exact residue reducer, and the table and affine trig values built on it."""
+"""The exact residue reducer, and the table, affine and lattice trig values built on it."""
 
 from fractions import Fraction
 
@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from weierpath.phase import AffineNodes, TrigTable, _residues, cos_pi, phase_mod2, sin_pi
+from weierpath.phase import (LATTICE_R, AffineNodes, AnchorLattice, TrigTable, _residues, cos_pi, phase_mod2,
+                             sin_pi)
 
 from conftest import affine_angles
 
@@ -121,16 +122,24 @@ def test_residues_at_the_int64_limits(two_den, r0, c, j):
 _SCALES = [1, 3, 2**40, 3**12, 3**73, 2**31 * 3**40 + 1]
 
 
-@pytest.mark.parametrize("start,step,count", [
-    (Fraction(5, 997), Fraction(1, 2**14), 122),
-    (Fraction(1, 3**40), Fraction(7, 2**30), 50),
+@pytest.mark.parametrize("origin,step,q0", [
+    (Fraction(5, 997), Fraction(1, 2**14), 3),
+    (Fraction(1, 3**40), Fraction(7, 2**30), 0),
+    (Fraction(-2, 3**40), Fraction(7, 2**30), 1),
 ])
-def test_anchor_offset_rows_equal_single_scales(start, step, count):
-    nodes = AffineNodes(start, step, count)
-    a, b = nodes._anchor_offset(_SCALES)
+def test_lattice_rows_equal_single_scales(origin, step, q0):
+    lattice, Q, R = AnchorLattice(origin, step), 5, LATTICE_R
+    a, b = lattice.anchors(_SCALES, q0, Q), lattice.offsets(_SCALES)
+    assert a.shape == (len(_SCALES), Q) and b.shape == (len(_SCALES), R)
+    num = lattice.num0 + q0 * R * lattice.dnum
     for n, scale in enumerate(_SCALES):
-        (a1,), (b1,) = nodes._anchor_offset([scale])
-        assert np.array_equal(a[n], a1) and np.array_equal(b[n], b1)
+        # each row is the single-scale reduction, and within TOL of the scalar Fraction path
+        assert np.array_equal(a[n], lattice._angles(scale * num, scale * R * lattice.dnum, Q))
+        assert np.array_equal(b[n], lattice._angles(0, scale * lattice.dnum, R))
+        ref = [phase_mod2(scale, origin + (q0 + q) * R * step) for q in range(Q)]
+        assert np.max(np.abs(np.cos(a[n]) - [cos_pi(x) for x in ref])) <= TOL
+        ref = [phase_mod2(scale, r * step) for r in range(R)]
+        assert np.max(np.abs(np.sin(b[n]) - [sin_pi(x) for x in ref])) <= TOL
 
 
 @pytest.mark.parametrize("den", [1, 40, 1 << 20])

@@ -223,7 +223,8 @@ class TestOdeSolver:
         part = solve_ode_truncated(RdeProblem(BilinearField(), fig_problem.driver, fig_problem.y0,
                                               t_end=Fraction(3, 4), step=step), 4, output_points=25)
         assert np.array_equal(part.times, full.times[:25])
-        assert np.max(np.abs(part.values - full.values[:25])) <= 1e-12
+        # W' at a stage time does not depend on the block layout, so the prefix is the same bits
+        assert np.array_equal(part.values, full.values[:25])
 
     def test_default_step_resolves_fastest_mode(self, figure_pair):
         for N in (4, 8, 12):

@@ -15,9 +15,10 @@ from weierpath import (
     eval_vector,
     validate_component,
 )
-from weierpath.phase import AffineNodes, TrigTable, phase_mod2, unit_time
+from weierpath.phase import LATTICE_R, AnchorLattice, TrigTable, phase_mod2, unit_time
 from weierpath.weierstrass import (
     component_from_config,
+    derivative_offsets,
     eval_derivative_affine,
     eval_truncated_grid,
 )
@@ -233,8 +234,10 @@ class TestInvariants:
             assert vals[k] == pytest.approx(eval_truncated(comp_b3, 9, Fraction(k, den)), abs=5e-15)
 
 
-# counts 1, k^2 and k^2 + 1 fill the (Q, R) node grid exactly or leave one node in a new row
+# counts 1, k^2 and k^2 + 1 up to 145; with the firsts below, windows stay in one anchor row or cross one
 _node_counts = st.integers(1, 12).flatmap(lambda k: st.sampled_from([1, k * k, k * k + 1]))
+# the window's first lattice node: on the origin, or off an anchor in one of the first rows
+_firsts = st.one_of(st.just(0), st.integers(1, 3 * LATTICE_R))
 
 
 @st.composite
@@ -252,13 +255,14 @@ def _affine_families(draw, big_den):
 
 
 class TestEvalDerivativeAffine:
-    """The GEMM over modes against math.fsum of exact scalar terms at Fraction node times."""
+    """The lattice GEMM over modes against math.fsum of exact scalar terms at Fraction node times."""
 
     TOL = 1e-14
 
-    def _check(self, c, N, start, step, count):
-        nodes = AffineNodes(start, step, count)
-        got = eval_derivative_affine(c, N, nodes)
+    def _check(self, c, N, start, step, count, first):
+        # lattice node `first` is the family's start: the origin when first = 0
+        lattice = AnchorLattice(start - first * step, step)
+        got = eval_derivative_affine(c, N, lattice, derivative_offsets(c, N, lattice), first, count)
         ref = np.array([eval_derivative(c, N, start + j * step) for j in range(count)])
         assert got.shape == (count,)
         # relative to max|W'| over the nodes, floored at the top mode's amplitude
@@ -267,16 +271,35 @@ class TestEvalDerivativeAffine:
         assert np.max(np.abs(got - ref)) <= self.TOL * scale
 
     @given(b=st.integers(2, 9), alpha=st.floats(0.3, 0.7), phase=st.sampled_from(["cos", "sin"]),
-           N=st.integers(0, 20), family=_affine_families(big_den=False))
-    def test_matches_scalar_derivative(self, b, alpha, phase, N, family):
-        self._check(validate_component(b, alpha=alpha, phase=phase), N, *family)
+           N=st.integers(0, 20), family=_affine_families(big_den=False), first=_firsts)
+    def test_matches_scalar_derivative(self, b, alpha, phase, N, family, first):
+        self._check(validate_component(b, alpha=alpha, phase=phase), N, *family, first)
 
     @given(b=st.integers(2, 9), alpha=st.floats(0.3, 0.7), phase=st.sampled_from(["cos", "sin"]),
-           N=st.integers(0, 20), family=_affine_families(big_den=True))
-    def test_big_denominator_family(self, b, alpha, phase, N, family):
+           N=st.integers(0, 20), family=_affine_families(big_den=True), first=_firsts)
+    def test_big_denominator_family(self, b, alpha, phase, N, family, first):
         start, step, count = family
-        assert 2 * AffineNodes(start, step, count).den > 1 << 61
-        self._check(validate_component(b, alpha=alpha, phase=phase), N, *family)
+        assert 2 * AnchorLattice(start, step).den > 1 << 61
+        self._check(validate_component(b, alpha=alpha, phase=phase), N, *family, first)
+
+    @pytest.mark.parametrize("block", [0, 5, 1023])
+    @pytest.mark.parametrize("phase", ["cos", "sin"])
+    def test_block_values_do_not_depend_on_the_window(self, figure_pair, block, phase):
+        # the figure-3 ODE's 8,192-step blocks at N = 12: 16,385 stage times of the half step 2^-24
+        lattice = AnchorLattice(0, Fraction(1, 1 << 24))
+        first, count = 16384 * block, 16385
+        for comp in figure_pair.components:
+            c = validate_component(comp.b, a=comp.a_rational, phase=phase)
+            offsets = derivative_offsets(c, 12, lattice)
+            one = eval_derivative_affine(c, 12, lattice, offsets, first, count)
+            for cut in (1, 2, LATTICE_R, 5000, 16384):
+                head = eval_derivative_affine(c, 12, lattice, offsets, first, cut)
+                tail = eval_derivative_affine(c, 12, lattice, offsets, first + cut, count - cut)
+                assert np.array_equal(np.concatenate([head, tail]), one)
+            for lead in (1, 37, 127):
+                # first - lead is off an anchor (not a multiple of LATTICE_R) when block > 0
+                wide = eval_derivative_affine(c, 12, lattice, offsets, max(first - lead, 0), count + lead)
+                assert np.array_equal(wide[-count:] if block else wide[:count], one)
 
 
 class TestPhaseReduction:
