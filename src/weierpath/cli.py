@@ -50,6 +50,7 @@ from .weierstrass import (
 )
 
 FIGURE_COMPONENTS = ({"b": 2, "a": "18/25"}, {"b": 3, "a": "3/5"})
+MAX_EVAL_POINTS = (1 << 16) + 1  # eval sums each point on its own: about 0.34 ms a point at N = 20, d = 2
 
 
 class _Parser(argparse.ArgumentParser):
@@ -200,13 +201,16 @@ def _meta_components(v: VectorWeierstrass) -> dict:
 def _cmd_eval(args) -> int:
     v = _components_from_args(args)
     if args.mode == "figure1":
-        times = [Fraction(k, args.points - 1) for k in range(args.points)]
+        flag, count, step = "--points", args.points, Fraction(1, args.points - 1)
         grid = {"grid": f"uniform {args.points} points on [0,1]"}
     else:
         if not (0 < args.grid_step <= 1):
             raise ParameterError("--grid-step must lie in (0, 1]")
-        times = [k * args.grid_step for k in range(int(1 / args.grid_step) + 1)]
+        flag, count, step = "--grid-step", int(1 / args.grid_step) + 1, args.grid_step
         grid = {"grid_step": args.grid_step}
+    if count > MAX_EVAL_POINTS:
+        raise ParameterError(f"{flag} gives {count} points, above {MAX_EVAL_POINTS} (cost guard)")
+    times = [k * step for k in range(count)]
     rows = [(t, *(eval_truncated(c, args.N, t) for c in v.components)) for t in times]
     header = [f"W{i+1}" for i in range(v.d)]
     meta = {"N": args.N, **grid, **_meta_components(v)}

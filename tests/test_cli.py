@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -106,6 +107,9 @@ class TestExitCodes:
         (["rde", "--figure-params", "--step", "x"], "--step"),
         (["demo", "--t", "x"], "--t"),
         (["lift", "--figure-params", "--t", "3/2"], "--t"),
+        # the cost guard: more than 2^16 + 1 points
+        (["eval", "--figure-params", "--figure1", "--points", "65538"], "--points"),
+        (["eval", "--b", "2", "--a", "18/25", "--grid-step", "1/65537"], "--grid-step"),
     ])
     def test_bad_value_is_one_and_names_the_flag(self, argv, flag, tmp_path, capsys):
         code, _, err = run(argv + ["--out", str(tmp_path / "out")], capsys)
@@ -278,7 +282,7 @@ class TestGeneratedArgv:
     """cli.main on argv drawn from the table: a mode's flags, valid and invalid values, a stray flag."""
 
     # values per dest, valid ones first; sizes capped so that no run takes long
-    # (eval has no cost guard: a fine --grid-step or many --points run for minutes)
+    # (eval's cost guard still admits 65,537 points, about 20 s)
     VALUES = {
         "b": ["2", "3", "5", "1", "x"], "a": ["18/25", "3/5", "1/2", "2", "x"],
         "component_alpha": ["0.47", "0.4", "1.5", "x"], "phase": ["cos", "sin", "tan"],
@@ -380,3 +384,24 @@ def test_traced_layer_targets_resolve(monkeypatch):
             absent.add(f"{module}.{path}")
     assert absent == {"weierpath.iterated.iterated_grid_prefix",
                       "weierpath.iterated._truncated_best_path"}
+
+
+def test_traced_ode_layers_count_the_solve(monkeypatch, figure_pair):
+    # the benchmark's ode_fig3 layers read their work from these calls: one
+    # stage-matrix step per RK4 step, and one W' call per component and block
+    spec = importlib.util.spec_from_file_location("perfbench_layers",
+                                                  ROOT / "perfbench" / "layers.py")
+    layers = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, layers)
+    spec.loader.exec_module(layers)
+    from weierpath.rde import _STEP_BLOCK, BilinearField, RdeProblem, solve_ode_truncated
+
+    K = 16384
+    problem = RdeProblem(BilinearField(), figure_pair, [1.0, 0.0], step=Fraction(1, K))
+    with layers.Tracer() as tracer:
+        solve_ode_truncated(problem, 4)
+    blocks = K // _STEP_BLOCK
+    assert blocks == 2
+    # the spot check adds 4 whole steps and 8 half steps, in one call each
+    assert tracer.stats["rde.stage_matrices"].work == K + 12
+    assert tracer.stats["weierstrass.derivative_affine"].calls == figure_pair.d * (blocks + 2)
