@@ -18,8 +18,7 @@ Four evaluation paths share this reduction:
   angle addition (the quadrature oracle);
 * lattice: offset phases reduced once for all nodes origin + g*step (the ODE).
 
-The table, affine and lattice paths share one exact array reducer, _residues,
-for one mode or a set of modes per call.
+The table, affine and lattice paths share one exact array reducer, _residues.
 
 All functions are pure; tables are immutable after construction.
 """
@@ -227,8 +226,7 @@ class AffineNodes(AnchorLattice):
     On a grid of their own, j = q*R + r with R = isqrt(count - 1) + 1 and
     Q = ceil(count / R), only the Q anchor phases scale*t_{q*R} and the R
     offset phases scale*r*step are reduced mod 2 exactly; node values follow
-    by angle addition, within 4e-15 of np.sin/np.cos on the reduced angles.
-    """
+    by angle addition, within 4e-15 of np.sin/np.cos on the reduced angles."""
 
     def __init__(self, start, step, count: int):
         if count < 1:

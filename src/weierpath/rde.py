@@ -5,10 +5,11 @@ M(Y) = [T_1 Y | ... | T_d Y], so that every step is a d x d matrix acting on Y:
 
 * solve_ode_truncated: the driver is the smooth level-N truncation, so the
   equation is a classical ODE Y' = M(Y) W_N'(t); a fixed-step fourth-order
-  Runge-Kutta scheme integrates it, with stage times on an exact rational
-  half-grid so driver phases never degrade.  The default step resolves the
-  fastest driver mode b^N pi (explicit schemes must resolve the driver).
-  A Richardson spot check takes the solver's first steps, at its own step
+  Runge-Kutta scheme integrates it.  Its stage times are nodes of one exact
+  half-step lattice per solve, so driver phases never degrade and W' at a
+  stage time does not depend on the block layout.  The default step
+  resolves the fastest mode b^N pi (explicit schemes must resolve it).  A
+  Richardson spot check takes the solver's first steps, at its own step
   t_end / K, whole and as two halves with the same RK4 step matrices.
 
 * solve_rough: one explicit second-order (Davie) rough step per interval,
