@@ -88,6 +88,9 @@ GOLDEN = (
                                 "--points", "33"]),
     ("rde_ode_one_segment.csv", ["rde", "--figure-params", "--N", "4", "--step", "1/16384",
                                  "--points", "3"]),
+    # a step that is not a power of two (K = 3,000), where scaling by h/2 rounds
+    ("rde_ode_nondyadic.csv", ["rde", "--figure-params", "--N", "4", "--step", "1/3000",
+                               "--points", "9"]),
 )
 
 
