@@ -7,7 +7,11 @@ M(Y) = [T_1 Y | ... | T_d Y], so that every step is a d x d matrix acting on Y:
   equation is a classical ODE Y' = M(Y) W_N'(t); a fixed-step fourth-order
   Runge-Kutta scheme integrates it.  Its stage times are nodes of one exact
   half-step lattice per solve, so driver phases never degrade and W' at a
-  stage time does not depend on the block layout.  The default step
+  stage time does not depend on the block layout.  The stages run on the
+  state matrices scaled by h/2, as contiguous planes of the even nodes (step
+  ends) and the odd nodes (midpoints); for a power-of-two step the scaling is
+  exact, so every step matrix keeps the bits of the unscaled formula.  The
+  default step
   resolves the fastest mode b^N pi (explicit schemes must resolve it).  A
   Richardson spot check takes the solver's first steps, at its own step
   t_end / K, whole and as two halves with the same RK4 step matrices.
@@ -44,7 +48,8 @@ from .errors import ParameterError
 from .iterated import _grid_lift
 from .phase import AnchorLattice, to_fraction, unit_time
 from .roughpath import _geometric_second, _resolve_level
-from .weierstrass import TruncationPolicy, VectorWeierstrass, derivative_offsets, eval_derivative_affine
+from .weierstrass import (TruncationPolicy, VectorWeierstrass, _validate_level, derivative_offsets,
+                          eval_derivative_affine)
 
 __all__ = [
     "LinearStateField",
@@ -74,6 +79,9 @@ class LinearStateField:
             raise ParameterError("field tensor must have shape (d, d, d)")
         tensor.setflags(write=False)
         self.tensor = tensor
+        d = tensor.shape[0]
+        # row p*d + q is tensor[p, :, q]
+        self._rows = np.ascontiguousarray(tensor.transpose(0, 2, 1).reshape(d * d, d))
 
     @property
     def d(self) -> int:
@@ -86,9 +94,13 @@ class LinearStateField:
         """G[p, q] = sum_j tensor[p, j, q] wprime[j], so that Y' = G Y.
 
         wprime (d,) gives a (d, d) matrix; wprime (d, n) gives (d, d, n) entry
-        planes G[p, q, k], batch axis last and contiguous.
+        planes G[p, q, k], batch axis last and contiguous.  One matmul of the
+        (d*d, d) rows built in __init__ by wprime as (d, n): the product
+        np.tensordot(tensor, wprime, axes=([1], [0])) forms, with its bits.
         """
-        return np.tensordot(self.tensor, np.asarray(wprime, dtype=np.float64), axes=([1], [0]))
+        wprime = np.asarray(wprime, dtype=np.float64)
+        d = self.d
+        return (self._rows @ wprime.reshape(d, -1)).reshape(d, d, *wprime.shape[1:])
 
 
 class BilinearField(LinearStateField):
@@ -181,21 +193,25 @@ class PathSample:
         return self.values[-1]
 
 
+MAX_ODE_STEPS = 1 << 26  # 8 times the figure-3 solve at N = 12, about 6 s
+
+
 def default_ode_step(driver: VectorWeierstrass, N: int) -> Fraction:
-    """Power-of-two step resolving the fastest truncated mode b_max^N pi."""
+    """Power-of-two step resolving the fastest truncated mode b_max^N pi: the largest
+    2^-k <= min(1e-3, 0.1 b_max^-N), that is k >= 10 with 2^k >= 10 b_max^N, in integers."""
+    N = _validate_level(N)
     b_max = max(c.b for c in driver.components)
-    target = min(1e-3, 0.1 * float(b_max) ** (-N))
-    k = max(10, math.ceil(-math.log2(target)))
-    return Fraction(1, 1 << k)
+    return Fraction(1, 1 << max(10, (10 * b_max**N - 1).bit_length()))
 
 
 def _step_guard(driver: VectorWeierstrass, N: int, step: Fraction) -> None:
     b_max = max(c.b for c in driver.components)
-    if float(step) * float(b_max) ** N > 0.5:
+    bound = Fraction(1, 2 * b_max**N)
+    if step > bound:
+        limit = f"{float(bound):g}" if float(bound) else f"1/(2*{b_max}^{N})"
         raise ParameterError(
             f"step {float(step):g} too large for the level-{N} driver "
-            f"(fastest mode {b_max}^{N} pi): decrease step to at most "
-            f"{0.5 * float(b_max) ** (-N):g}"
+            f"(fastest mode {b_max}^{N} pi): decrease step to at most {limit}"
         )
 
 
@@ -203,7 +219,7 @@ def _grid_layout(t_end: Fraction, step: Fraction, output_points: int) -> tuple[i
     """Total step count K (multiple of the output interval count) and stride."""
     k0 = math.ceil(t_end / step)
     m = min(output_points - 1, k0)
-    k = math.ceil(k0 / m) * m
+    k = -(-k0 // m) * m
     return k, k // m
 
 
@@ -216,31 +232,45 @@ def _plane_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _half_step_lattice(problem: RdeProblem, N: int, h: Fraction):
-    """The lattice of stage times g*h/2 from 0, with each driver component's derivative offsets on it."""
+    """The lattice of stage times g*h/2 from 0, with each driver component's derivative offsets on
+    it scaled by h/2, so that eval_derivative_affine gives (h/2) W' at the stage times."""
     lattice = AnchorLattice(0, h / 2)
-    return lattice, [derivative_offsets(c, N, lattice) for c in problem.driver.components]
+    half = float(h / 2)
+    return lattice, [half * derivative_offsets(c, N, lattice) for c in problem.driver.components]
 
 
 def _stage_matrices(problem: RdeProblem, N: int, seg_start: Fraction, h: Fraction,
                     steps: int, lattice) -> np.ndarray:
     """RK4 propagator matrices of `steps` consecutive steps from seg_start, (d, d, steps); the
-    stage times are the nodes from 2*seg_start/h on of lattice = _half_step_lattice(problem, N, h)."""
+    stage times are the nodes from 2*seg_start/h on of lattice = _half_step_lattice(problem, N, h).
+
+    The stages run on the planes H = (h/2) G of the state matrices G at the even nodes (step
+    starts and ends) and the odd nodes (midpoints), as K_i = (h/2) k_i of the textbook stages:
+    for a power-of-two h the scaling is exact, so these are the bits of the unscaled formula."""
     nodes, offsets = lattice
-    wp = np.stack([eval_derivative_affine(c, N, nodes, b, int(2 * seg_start / h), 2 * steps + 1)
-                   for c, b in zip(problem.driver.components, offsets)])
-    # one (d, d, 2*steps+1) array for all nodes: built as even and odd halves,
-    # the smaller temporaries let glibc trim the heap top and fault it in
-    # again for every block
-    g = problem.field.state_matrix(wp)
-    g1, g2, g3 = g[..., 0:-1:2], g[..., 1::2], g[..., 2::2]
-    hf = float(h)
-    k1 = g1
-    k2 = g2 + (hf / 2.0) * _plane_product(g2, k1)
-    k3 = g2 + (hf / 2.0) * _plane_product(g2, k2)
-    k4 = g3 + hf * _plane_product(g3, k3)
-    out = (hf / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    diag = np.arange(problem.driver.d)
-    out[diag, diag] += 1.0
+    wp = [eval_derivative_affine(c, N, nodes, b, int(2 * seg_start / h), 2 * steps + 1)
+          for c, b in zip(problem.driver.components, offsets)]
+    even = problem.field.state_matrix(np.stack([w[0::2] for w in wp]))
+    mid = problem.field.state_matrix(np.stack([w[1::2] for w in wp]))
+    start, end = even[..., :-1], even[..., 1:]
+    # in-place sums on a fresh output: a figure-3 solve takes about 480 minor faults (one stack
+    # of all nodes: about 550); out-of-place sums free enough at the heap top that glibc trims
+    # it and faults it in again for every block (about 49,600)
+    k2 = _plane_product(mid, start)
+    k2 += mid
+    k3 = _plane_product(mid, k2)
+    k3 += mid
+    k4 = _plane_product(end, k3)
+    k4 *= 2.0
+    k4 += end
+    out = 2.0 * k2
+    out += start
+    k3 *= 2.0
+    out += k3
+    out += k4
+    out *= 1.0 / 3.0
+    for i in range(problem.driver.d):
+        out[i, i] += 1.0
     return out
 
 
@@ -328,9 +358,14 @@ def solve_ode_truncated(problem: RdeProblem, N: int, *, output_points: int = 102
     """
     if output_points < 2:
         raise ParameterError("output_points must be >= 2")
+    N = _validate_level(N)
     step = problem.step if problem.step is not None else default_ode_step(problem.driver, N)
     _step_guard(problem.driver, N, step)
     K, stride = _grid_layout(problem.t_end, step, output_points)
+    if K > MAX_ODE_STEPS:
+        count = K if K < 1 << 64 else f"about 2^{K.bit_length() - 1}"
+        raise ParameterError(f"the level-{N} solve takes {count} RK4 steps, above {MAX_ODE_STEPS} "
+                             f"(cost guard): increase step or lower N")
     h = problem.t_end / K
     lattice = _half_step_lattice(problem, N, h)
     _local_error_check(problem, N, h, K, local_error_tol, lattice)

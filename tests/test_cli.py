@@ -117,6 +117,19 @@ class TestExitCodes:
         assert flag in err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("argv,message", [
+        # 0.1 * 3^-700 underflows to 0 and 3.0^700 overflows in float; both are exact now
+        ("rde --figure-params --N 700", "about 2^1113 RK4 steps, above 67108864 (cost guard)"),
+        ("rde --figure-params --N 700 --step 1/1024", "decrease step to at most 1/(2*3^700)"),
+        # the default step of level 40 is 2^-67
+        ("rde --figure-params --N 40", "about 2^67 RK4 steps, above 67108864 (cost guard)"),
+    ])
+    def test_ode_beyond_the_step_guards_is_one(self, argv, message, tmp_path, capsys):
+        code, _, err = run(argv.split() + ["--out", str(tmp_path / "out")], capsys)
+        assert code == 1
+        assert message in err
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("argv", [
         ["lift", "--figure-params"],
         ["norms", "--figure-params", "--alpha", "0.46", "--depth", "6"],
