@@ -11,10 +11,10 @@ M(Y) = [T_1 Y | ... | T_d Y], so that every step is a d x d matrix acting on Y:
   state matrices scaled by h/2, as contiguous planes of the even nodes (step
   ends) and the odd nodes (midpoints); for a power-of-two step the scaling is
   exact, so every step matrix keeps the bits of the unscaled formula.  The
-  default step
-  resolves the fastest mode b^N pi (explicit schemes must resolve it).  A
-  Richardson spot check takes the solver's first steps, at its own step
-  t_end / K, whole and as two halves with the same RK4 step matrices.
+  default step resolves the fastest mode b^N pi (explicit schemes must
+  resolve it), and a solve takes at most MAX_ODE_STEPS steps.  A Richardson
+  spot check takes the solver's first steps, at its own step t_end / K,
+  whole and as two halves with the same RK4 step matrices.
 
 * solve_rough: one explicit second-order (Davie) rough step per interval,
 

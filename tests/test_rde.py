@@ -296,17 +296,19 @@ class TestOdeSolver:
 class TestStageMatrices:
     """The solver runs RK4 on planes scaled by h/2; for a power-of-two h that scaling is exact."""
 
-    @pytest.mark.parametrize("N,h,block", [
-        (4, Fraction(1, 4096), 0),
-        (12, Fraction(1, 1 << 23), 0),
-        (12, Fraction(1, 1 << 23), 5),
+    @pytest.mark.parametrize("dense,N,h,block", [
+        (False, 4, Fraction(1, 4096), 0),
+        (False, 12, Fraction(1, 1 << 23), 0),
+        (False, 12, Fraction(1, 1 << 23), 5),
+        (True, 3, Fraction(1, 512), 0),
     ])
-    def test_dyadic_step_keeps_the_unscaled_bits(self, fig_problem, N, h, block):
+    def test_dyadic_step_keeps_the_unscaled_bits(self, fig_problem, dense, N, h, block):
+        problem = _dense_problem("sin") if dense else fig_problem
         steps = min(rde_mod._STEP_BLOCK, int(1 / h))
         seg_start = h * block * steps
-        got = rde_mod._stage_matrices(fig_problem, N, seg_start, h, steps,
-                                      rde_mod._half_step_lattice(fig_problem, N, h))
-        assert np.array_equal(got, _unscaled_stage_matrices(fig_problem, N, seg_start, h, steps))
+        got = rde_mod._stage_matrices(problem, N, seg_start, h, steps,
+                                      rde_mod._half_step_lattice(problem, N, h))
+        assert np.array_equal(got, _unscaled_stage_matrices(problem, N, seg_start, h, steps))
 
     def test_spot_check_half_steps_keep_the_unscaled_bits(self, fig_problem):
         h = Fraction(1, 1 << 24)
